@@ -1,118 +1,12 @@
-//! Shared bench measurement and `BENCH_*.json` envelope writing.
+//! Shared pieces of the harness binaries' JSON output.
 //!
-//! Every perf harness in `benches/` used to carry its own copy of the
-//! warm-up/measure loop and its own hand-assembled JSON envelope; this
-//! module is the single implementation. Envelopes carry a
-//! `schema_version` field so downstream tooling (the CI JSON check, perf
-//! dashboards) can detect layout changes instead of mis-parsing them.
+//! Documents carry a `schema_version` field so downstream tooling (the CI
+//! JSON check, dashboards) can detect layout changes instead of
+//! mis-parsing them.
 
-use std::time::{Duration, Instant};
-
-/// Version stamped into every `BENCH_*.json` envelope this module writes.
-/// Bump when the envelope layout (not a row's metric set) changes shape.
+/// Version stamped into every JSON document the harness binaries write.
+/// Bump when a document's envelope (not a row's metric set) changes shape.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// Wall-time summary of one measured routine.
-#[derive(Debug, Clone, Copy)]
-pub struct Measured {
-    /// Mean wall time per call, in seconds.
-    pub mean_s: f64,
-    /// Fastest observed call, in seconds.
-    pub min_s: f64,
-}
-
-/// One warm-up call, then `samples` timed calls; reports mean and min.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero.
-pub fn measure(samples: usize, mut routine: impl FnMut()) -> Measured {
-    assert!(samples >= 1, "measuring zero samples reports nothing");
-    routine();
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        routine();
-        times.push(start.elapsed());
-    }
-    let total: Duration = times.iter().sum();
-    Measured {
-        mean_s: total.as_secs_f64() / samples as f64,
-        min_s: times.iter().min().expect("samples >= 1").as_secs_f64(),
-    }
-}
-
-/// A `BENCH_*.json` envelope: versioned header fields plus one array of
-/// pre-rendered row objects.
-#[derive(Debug)]
-pub struct BenchReport {
-    bench: String,
-    command: String,
-    header: Vec<(String, String)>,
-    rows_key: String,
-    rows: Vec<String>,
-}
-
-impl BenchReport {
-    /// Starts an envelope for one bench: its name, the command that
-    /// regenerates it, and the key its row array is stored under
-    /// (`"workloads"`, `"runs"`, …).
-    #[must_use]
-    pub fn new(bench: &str, command: &str, rows_key: &str) -> Self {
-        BenchReport {
-            bench: bench.to_string(),
-            command: command.to_string(),
-            header: Vec::new(),
-            rows_key: rows_key.to_string(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Adds a string-valued header field (JSON-escaped).
-    pub fn header_str(&mut self, key: &str, value: &str) {
-        self.header.push((key.to_string(), json_string(value)));
-    }
-
-    /// Adds a header field with a raw JSON value (a number, bool, …).
-    pub fn header_raw(&mut self, key: &str, raw_json: impl std::fmt::Display) {
-        self.header.push((key.to_string(), raw_json.to_string()));
-    }
-
-    /// Appends one pre-rendered row object (indented four spaces, as the
-    /// historical envelopes were).
-    pub fn push_row(&mut self, row: String) {
-        self.rows.push(row);
-    }
-
-    /// Renders the envelope: `schema_version`, `bench`, `command`, the
-    /// header fields in insertion order, then the row array.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema_version\": {BENCH_SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"bench\": {},\n", json_string(&self.bench)));
-        out.push_str(&format!("  \"command\": {},\n", json_string(&self.command)));
-        for (key, value) in &self.header {
-            out.push_str(&format!("  {}: {value},\n", json_string(key)));
-        }
-        out.push_str(&format!("  {}: [\n", json_string(&self.rows_key)));
-        out.push_str(&self.rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Writes the rendered envelope to `<repo root>/<file_name>` and
-    /// returns the path written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_to_repo_root(&self, file_name: &str) -> String {
-        let path = format!("{}/../../{file_name}", env!("CARGO_MANIFEST_DIR"));
-        std::fs::write(&path, self.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        path
-    }
-}
 
 /// Quotes and escapes a string for JSON output.
 #[must_use]
@@ -135,29 +29,4 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn envelope_renders_versioned_header_and_rows() {
-        let mut report = BenchReport::new("demo", "cargo bench demo", "rows");
-        report.header_raw("samples_per_measurement", 10);
-        report.header_str("note", "a \"quoted\" note");
-        report.push_row("    { \"name\": \"row0\" }".to_string());
-        let json = report.render();
-        assert!(json.starts_with("{\n  \"schema_version\": 1,\n  \"bench\": \"demo\","));
-        assert!(json.contains("\"samples_per_measurement\": 10,"));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"rows\": [\n    { \"name\": \"row0\" }\n  ]\n}\n"));
-    }
-
-    #[test]
-    fn measure_reports_mean_at_least_min() {
-        let m = measure(3, || std::hint::black_box(()));
-        assert!(m.mean_s >= m.min_s);
-        assert!(m.min_s >= 0.0);
-    }
 }

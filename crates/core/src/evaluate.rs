@@ -7,8 +7,8 @@
 //! arrays), plus the component's **real idle intervals** — the gaps of the
 //! simulator's merged busy timeline — walked one by one against the
 //! design's break-even times, detection windows, and wake-up latencies
-//! ([`npu_power::GatingParams::walk_idle_intervals`],
-//! [`crate::pe_gating::sa_idle_intervals_cost`]). An interval shorter than
+//! by the design's per-component [`npu_power::PowerPolicy`] (its
+//! [`PolicyConfig`](crate::PolicyConfig)). An interval shorter than
 //! the break-even time stays at full power no matter how much aggregate
 //! idleness exists, which is exactly the distribution sensitivity of the
 //! paper's Figures 9/15. Static energy is the component's leakage power
@@ -24,11 +24,11 @@ use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{ExecutionUnit, Workload};
 use npu_power::energy::ChipUsage;
 use npu_power::{CarbonModel, EnergyBreakdown, GatingParams, PowerModel};
-use npu_sim::{AnalysisReport, Diagnostic, OpTiming, SimulationResult, Simulator};
+use npu_sim::{AnalysisReport, CycleInterval, Diagnostic, OpTiming, SimulationResult, Simulator};
 
 use crate::designs::Design;
 use crate::pe_gating::SaGatingPlan;
-use crate::policy::{IdleLeakModel, PolicyConfig, PolicyKind, SaActiveMode, SramPolicy};
+use crate::policy::{walk_gaps, IdleLeakModel, PolicyKind, SaActiveMode, SramPolicy};
 
 /// Residual power of a PE in the weight-retaining `W_on` mode, as a
 /// fraction of its fully-on static power.
@@ -313,24 +313,20 @@ impl Evaluator {
         simulation: SimulationResult,
         duty_cycle: f64,
     ) -> WorkloadEvaluation {
-        let chip = ChipConfig::new(self.generation, num_chips);
-        assert_eq!(
-            *simulation.chip(),
-            chip,
-            "simulation ran on a different chip deployment than the evaluator targets"
-        );
-        let model = PowerModel::new(chip.spec());
-
-        let usage = Self::chip_usage(compiled, &simulation);
-        let baseline = EnergyBreakdown::no_power_gating_with_duty(&model, &usage, duty_cycle);
-
-        let mut designs = BTreeMap::new();
-        for design in Design::ALL {
-            designs.insert(
-                design,
-                self.evaluate_design(design, compiled, &simulation, &model, &baseline),
-            );
-        }
+        let (model, baseline) = self.baseline(num_chips, compiled, &simulation, duty_cycle);
+        let designs = Design::ALL
+            .into_iter()
+            .map(|design| {
+                let (energy, performance_overhead, peak_power_w) = self.price(
+                    PolicyKind::Preset(design),
+                    compiled,
+                    &simulation,
+                    &model,
+                    &baseline,
+                );
+                (design, DesignEvaluation { design, energy, performance_overhead, peak_power_w })
+            })
+            .collect();
         WorkloadEvaluation {
             workload: *workload,
             generation: self.generation,
@@ -345,10 +341,9 @@ impl Evaluator {
     /// Evaluates a *set* of power-management policies over one pre-built
     /// compiled graph and simulation — every policy prices the identical
     /// timeline, so the rows are directly comparable (the policy ×
-    /// workload × load matrix). Presets reuse the original design
-    /// arithmetic (bit-identical to [`Self::evaluate_compiled`] rows);
-    /// extended kinds expand into their [`PolicyConfig`] and run the same
-    /// generalized walk.
+    /// workload × load matrix). Presets and extended kinds alike go
+    /// through the pricing path of [`Self::evaluate_compiled`], so a
+    /// preset row is bit-identical to its design row.
     ///
     /// `duty_cycle` has the same semantics as in
     /// [`Self::evaluate_compiled`].
@@ -366,32 +361,13 @@ impl Evaluator {
         duty_cycle: f64,
         kinds: &[PolicyKind],
     ) -> PolicySetEvaluation {
-        let chip = ChipConfig::new(self.generation, num_chips);
-        assert_eq!(
-            *simulation.chip(),
-            chip,
-            "simulation ran on a different chip deployment than the evaluator targets"
-        );
-        let model = PowerModel::new(chip.spec());
-        let usage = Self::chip_usage(compiled, simulation);
-        let baseline = EnergyBreakdown::no_power_gating_with_duty(&model, &usage, duty_cycle);
+        let (model, baseline) = self.baseline(num_chips, compiled, simulation, duty_cycle);
         let baseline_total_j = baseline.total_j();
         let rows = kinds
             .iter()
             .map(|&kind| {
-                let (energy, performance_overhead, peak_power_w) = match kind {
-                    PolicyKind::Preset(design) => {
-                        let row =
-                            self.evaluate_design(design, compiled, simulation, &model, &baseline);
-                        (row.energy, row.performance_overhead, row.peak_power_w)
-                    }
-                    _ => {
-                        let config = kind.config(&self.gating, chip.spec());
-                        self.evaluate_policy_config(
-                            &config, compiled, simulation, &model, &baseline,
-                        )
-                    }
-                };
+                let (energy, performance_overhead, peak_power_w) =
+                    self.price(kind, compiled, simulation, &model, &baseline);
                 let savings = if baseline_total_j == 0.0 {
                     0.0
                 } else {
@@ -408,6 +384,31 @@ impl Evaluator {
             })
             .collect();
         PolicySetEvaluation { baseline_total_j, rows }
+    }
+
+    /// The power model and `NoPG` baseline of one simulated trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation was produced on a different chip
+    /// deployment than this evaluator's `(generation, num_chips)`.
+    fn baseline(
+        &self,
+        num_chips: usize,
+        compiled: &CompiledGraph,
+        simulation: &SimulationResult,
+        duty_cycle: f64,
+    ) -> (PowerModel, EnergyBreakdown) {
+        let chip = ChipConfig::new(self.generation, num_chips);
+        assert_eq!(
+            *simulation.chip(),
+            chip,
+            "simulation ran on a different chip deployment than the evaluator targets"
+        );
+        let model = PowerModel::new(chip.spec());
+        let usage = Self::chip_usage(compiled, simulation);
+        let baseline = EnergyBreakdown::no_power_gating_with_duty(&model, &usage, duty_cycle);
+        (model, baseline)
     }
 
     /// Builds the chip-activity counters for the dynamic-energy model.
@@ -436,49 +437,24 @@ impl Evaluator {
         }
     }
 
-    /// Evaluates one design point by expanding it into its preset
-    /// [`PolicyConfig`] and walking the simulation's real per-component
-    /// idle intervals against the configured policies.
-    fn evaluate_design(
+    /// Prices one policy over the simulated timeline and returns
+    /// `(energy, performance_overhead, peak_power_w)`: the kind expands
+    /// into its [`PolicyConfig`](crate::PolicyConfig), whose
+    /// per-component policies walk the simulation's real idle intervals.
+    /// `NoPG` is the baseline itself.
+    fn price(
         &self,
-        design: Design,
-        compiled: &CompiledGraph,
-        sim: &SimulationResult,
-        model: &PowerModel,
-        baseline: &EnergyBreakdown,
-    ) -> DesignEvaluation {
-        if design == Design::NoPg {
-            let peak_power_w = self.peak_power(model, sim.timings(), baseline, sim.total_cycles());
-            return DesignEvaluation {
-                design,
-                energy: baseline.clone(),
-                performance_overhead: 0.0,
-                peak_power_w,
-            };
-        }
-        let config = PolicyKind::Preset(design).config(&self.gating, model.spec());
-        let (energy, performance_overhead, peak_power_w) =
-            self.evaluate_policy_config(&config, compiled, sim, model, baseline);
-        DesignEvaluation { design, energy, performance_overhead, peak_power_w }
-    }
-
-    /// The generalized evaluation walk: prices one [`PolicyConfig`] over
-    /// the simulated timeline and returns `(energy, performance_overhead,
-    /// peak_power_w)`.
-    ///
-    /// The five design presets route through this same function; their
-    /// configurations reproduce the original hard-coded arithmetic
-    /// bit-for-bit (the per-component [`PowerPolicy`] walks delegate to
-    /// the identical [`GatingParams::walk_idle_intervals`] and the stall
-    /// products are exact in f64 at these magnitudes).
-    fn evaluate_policy_config(
-        &self,
-        config: &PolicyConfig,
+        kind: PolicyKind,
         compiled: &CompiledGraph,
         sim: &SimulationResult,
         model: &PowerModel,
         baseline: &EnergyBreakdown,
     ) -> (EnergyBreakdown, f64, f64) {
+        if kind == PolicyKind::Preset(Design::NoPg) {
+            let peak_power_w = self.peak_power(model, sim.timings(), baseline, sim.total_cycles());
+            return (baseline.clone(), 0.0, peak_power_w);
+        }
+        let config = kind.config(&self.gating, model.spec());
         let spec = model.spec();
         let cycle_s = spec.cycle_seconds();
         let timeline = sim.busy_timeline();
@@ -493,49 +469,31 @@ impl Evaluator {
         let mut equivalent: BTreeMap<ComponentKind, f64> = BTreeMap::new();
         let mut overhead_cycles: f64 = 0.0;
 
-        // Interval lengths per component: all of them (for the energy
-        // walk), and the subset followed by more work — a trailing
-        // interval, including the single `[0, makespan)` interval of a
-        // component the workload never touches, ends the execution and
-        // never pays a wake-up.
-        let idle_lens = |kind: ComponentKind| -> (Vec<u64>, Vec<u64>) {
-            let gaps = timeline.idle_intervals(kind, total_cycles);
-            let all = gaps.iter().map(npu_sim::CycleInterval::len).collect();
-            let waking =
-                gaps.iter().filter(|iv| iv.end < total_cycles).map(|iv| iv.len()).collect();
-            (all, waking)
-        };
-
         // --- Systolic arrays: spatially gated while active (per-operator
-        //     shapes), policy-walked while idle. ---
+        //     shapes); vector units, HBM / ICI controllers and the DMA
+        //     engine: full power while busy. Every component's real idle
+        //     gaps are walked by its policy. ---
         let mut sa_busy_eq = 0.0f64;
         for (op, timing) in anchors.iter().zip(timings.iter()) {
             sa_busy_eq += self.sa_active_equivalent_cycles(config.sa_active, op, timing);
         }
-        let (sa_lens, sa_waking) = idle_lens(ComponentKind::Sa);
-        let sa_idle = config.sa_idle.walk_intervals(&sa_lens, &sa_waking);
-        equivalent.insert(ComponentKind::Sa, sa_busy_eq + sa_idle.equivalent_cycles);
-        overhead_cycles += sa_idle.wake_stall_cycles;
-
-        // --- Vector units: full power while computing, policy-walked
-        //     while idle. ---
-        let vu_busy = timeline.busy_cycles(ComponentKind::Vu) as f64;
-        let (vu_lens, vu_waking) = idle_lens(ComponentKind::Vu);
-        let vu_walk = config.vu.walk_intervals(&vu_lens, &vu_waking);
-        equivalent.insert(ComponentKind::Vu, vu_busy + vu_walk.equivalent_cycles);
-        overhead_cycles += vu_walk.wake_stall_cycles;
-
-        // --- HBM / ICI controllers and the DMA engine. The DMA engine
-        //     keeps the memory interface's gating timing (it wakes with
-        //     the HBM path it feeds), as in the pre-timeline model. ---
         for (kind, policy) in [
+            (ComponentKind::Sa, &config.sa_idle),
+            (ComponentKind::Vu, &config.vu),
             (ComponentKind::Hbm, &config.hbm),
             (ComponentKind::Ici, &config.ici),
             (ComponentKind::Dma, &config.dma),
         ] {
-            let busy = timeline.busy_cycles(kind) as f64;
-            let (lens, waking) = idle_lens(kind);
-            let walk = policy.walk_intervals(&lens, &waking);
+            let busy = if kind == ComponentKind::Sa {
+                sa_busy_eq
+            } else {
+                timeline.busy_cycles(kind) as f64
+            };
+            let walk = walk_gaps(
+                policy.as_ref(),
+                &timeline.idle_intervals(kind, total_cycles),
+                total_cycles,
+            );
             equivalent.insert(kind, busy + walk.equivalent_cycles);
             overhead_cycles += walk.wake_stall_cycles;
         }
@@ -571,11 +529,8 @@ impl Evaluator {
                     ],
                     total_cycles,
                 );
-                let all: Vec<u64> = gaps.iter().map(npu_sim::CycleInterval::len).collect();
-                let waking: Vec<u64> =
-                    gaps.iter().filter(|iv| iv.end < total_cycles).map(|iv| iv.len()).collect();
-                let union_idle: u64 = all.iter().sum();
-                let walk = policy.walk_intervals(&all, &waking);
+                let union_idle: u64 = gaps.iter().map(CycleInterval::len).sum();
+                let walk = walk_gaps(policy.as_ref(), &gaps, total_cycles);
                 overhead_cycles += walk.wake_stall_cycles;
                 (total_cycles - union_idle) as f64 + walk.equivalent_cycles
             }
@@ -627,18 +582,19 @@ impl Evaluator {
         };
         // Dead intervals never stall the pipeline (restores are hidden or
         // scheduled ahead), so only the equivalent cycles matter here.
-        let dead_equivalent =
-            |lens: &[u64]| -> f64 { walk.walk_intervals(lens, &[]).equivalent_cycles };
+        let dead_equivalent = |dead: &[CycleInterval]| -> f64 {
+            walk_gaps(walk.as_ref(), dead, total_cycles).equivalent_cycles
+        };
         let mut eq_sum = 0.0f64;
         for band in segments.bands() {
-            let dead = segments.dead_intervals_of(band);
-            let lens: Vec<u64> = dead.iter().map(npu_sim::CycleInterval::len).collect();
-            let per_segment = band.live_cycles() as f64 + dead_equivalent(&lens);
+            let per_segment =
+                band.live_cycles() as f64 + dead_equivalent(&segments.dead_intervals_of(band));
             eq_sum += per_segment * band.num_segments as f64;
         }
         let never_live = (total_segments - segments.ever_live_segments()) as f64;
         if never_live > 0.0 {
-            eq_sum += dead_equivalent(&[total_cycles]) * never_live;
+            eq_sum +=
+                dead_equivalent(&[CycleInterval { start: 0, end: total_cycles }]) * never_live;
         }
         eq_sum / total_segments as f64
     }

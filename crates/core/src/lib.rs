@@ -13,8 +13,6 @@
 //! * [`pe_gating`] — the cycle-level, spatially power-gated systolic array:
 //!   non-zero-weight row/column masks with OR-prefix sums (Figure 12) and
 //!   diagonal `PE_on` propagation along the dataflow (Figure 13);
-//! * [`power_state`] — the per-component power-state machine integrated
-//!   with the core pipeline's structural-hazard/ready-bit mechanism;
 //! * [`designs`] — the evaluated design points: `NoPG`, `ReGate-Base`,
 //!   `ReGate-HW`, `ReGate-Full`, and the `Ideal` roofline;
 //! * [`evaluate`] — the end-to-end evaluation engine: workload → compile →
@@ -49,7 +47,6 @@ pub mod experiments;
 pub mod pe_gating;
 pub mod pod;
 pub mod policy;
-pub mod power_state;
 
 pub use designs::Design;
 pub use evaluate::{
@@ -58,4 +55,3 @@ pub use evaluate::{
 pub use pe_gating::{PeMode, SaGatingPlan};
 pub use pod::{pod_static_gating, PodGatingReport};
 pub use policy::{IdleLeakModel, PolicyConfig, PolicyKind, SaActiveMode, SramPolicy};
-pub use power_state::{ComponentPowerState, PowerStateManager};

@@ -12,8 +12,11 @@
 //! module prices exactly that delta on a multi-chip [`Schedule`].
 
 use npu_arch::{ComponentKind, NpuSpec};
-use npu_power::{GatePolicy, GatingParams, IntervalGating, PowerModel, PowerPolicy};
-use npu_sim::{CycleInterval, Resource, Schedule};
+use npu_power::{GatingParams, PowerModel, PowerPolicy};
+use npu_sim::{CycleInterval, Resource, ResourceId, Schedule};
+
+use crate::designs::Design;
+use crate::policy::{walk_gaps, whole_chip_policy, PolicyKind};
 
 /// Static-energy accounting of one pod schedule, in watt-cycles (static
 /// watts × cycles; the cycle time cancels out of every ratio).
@@ -58,22 +61,14 @@ impl PodGatingReport {
     }
 }
 
-/// Walks one resource's idle gaps and returns its equivalent full-power
-/// cycles (busy cycles plus the walked remainder).
-fn walked_equivalent(
-    policy: &dyn PowerPolicy,
-    gaps: &[CycleInterval],
-    busy: u64,
-    total: u64,
-) -> f64 {
-    let all: Vec<u64> = gaps.iter().map(CycleInterval::len).collect();
-    let waking: Vec<u64> = gaps.iter().filter(|iv| iv.end < total).map(|iv| iv.len()).collect();
-    busy as f64 + policy.walk_intervals(&all, &waking).equivalent_cycles
-}
-
 /// Prices the static energy of a pod schedule three ways — ungated,
 /// per-component gating, per-component plus whole-chip gating — over its
 /// per-resource timeline ([`npu_sim::ResourceTimeline`]).
+///
+/// Every chip unit and link walks its idle gaps under the `ReGate-Base`
+/// preset's policy for its component; the whole-chip variant adds the
+/// chip-level walk `WholeChipFull` uses over each chip's whole-chip idle
+/// intervals.
 ///
 /// Weighting: each chip unit carries its component's static power from
 /// `spec`'s power model (the HBM/DMA resource carries both shares); when
@@ -92,24 +87,14 @@ pub fn pod_static_gating(
     let set = schedule.resources;
     let tl = &schedule.resource_timeline;
     let total = schedule.makespan;
-    let leak = gating.leakage.logic_off;
-    let walk = |bet: u64, delay: u64| IntervalGating {
-        bet,
-        delay,
-        leak,
-        policy: GatePolicy::IdleDetect,
-        stall_bet: bet,
-        stall_delay: delay,
-        wake_exposure: 1.0,
+    let base = PolicyKind::Preset(Design::ReGateBase).config(gating, spec);
+    let chip_policy = whole_chip_policy(gating);
+    // Equivalent full-power cycles of one resource: busy cycles plus its
+    // walked idle gaps.
+    let walked = |policy: &dyn PowerPolicy, id: ResourceId| {
+        let gaps = tl.idle_intervals(id, total);
+        tl.busy_cycles(id) as f64 + walk_gaps(policy, &gaps, total).equivalent_cycles
     };
-    // The uncore has no Table 3 row of its own: the chip-level walk is
-    // priced conservatively at twice the slowest component's figures
-    // (mirrors `PolicyKind::WholeChipFull`).
-    let chip_bet =
-        2 * gating.sa_full_bet.max(gating.vu_bet).max(gating.hbm_bet).max(gating.ici_bet);
-    let chip_delay =
-        2 * gating.sa_full_delay.max(gating.vu_delay).max(gating.hbm_delay).max(gating.ici_delay);
-    let chip_walk = walk(chip_bet, chip_delay);
 
     let mut baseline = 0.0f64;
     let mut per_component = 0.0f64;
@@ -123,32 +108,22 @@ pub fn pod_static_gating(
     for chip in 0..set.num_chips() {
         for kind in [Resource::Sa, Resource::Vu, Resource::HbmDma, Resource::Ici] {
             let (weight_w, policy) = match kind {
-                Resource::Sa => (
-                    model.static_power_w(ComponentKind::Sa),
-                    walk(gating.sa_full_bet, gating.sa_full_delay),
-                ),
-                Resource::Vu => {
-                    (model.static_power_w(ComponentKind::Vu), walk(gating.vu_bet, gating.vu_delay))
-                }
+                Resource::Sa => (model.static_power_w(ComponentKind::Sa), &base.sa_idle),
+                Resource::Vu => (model.static_power_w(ComponentKind::Vu), &base.vu),
                 Resource::HbmDma => (
                     model.static_power_w(ComponentKind::Hbm)
                         + model.static_power_w(ComponentKind::Dma),
-                    walk(gating.hbm_bet, gating.hbm_delay),
+                    &base.hbm,
                 ),
                 Resource::Ici => {
                     if set.num_links() > 0 {
                         // Pod traffic lives on the link resources below.
                         continue;
                     }
-                    (
-                        model.static_power_w(ComponentKind::Ici),
-                        walk(gating.ici_bet, gating.ici_delay),
-                    )
+                    (model.static_power_w(ComponentKind::Ici), &base.ici)
                 }
             };
-            let id = set.unit(chip, kind);
-            let gaps = tl.idle_intervals(id, total);
-            let eq = walked_equivalent(&policy, &gaps, tl.busy_cycles(id), total);
+            let eq = walked(policy.as_ref(), set.unit(chip, kind));
             add(weight_w, total as f64, eq, eq);
         }
         // SRAM: segment-level gating is a different mechanism; keep it
@@ -158,7 +133,8 @@ pub fn pod_static_gating(
         // whole-chip idle intervals under chip-level gating.
         let bubbles = tl.chip_idle_intervals(&set, chip, total);
         let bubble_cycles: u64 = bubbles.iter().map(CycleInterval::len).sum();
-        let chip_eq = walked_equivalent(&chip_walk, &bubbles, total - bubble_cycles, total);
+        let chip_eq = (total - bubble_cycles) as f64
+            + walk_gaps(&chip_policy, &bubbles, total).equivalent_cycles;
         add(model.static_power_w(ComponentKind::Other), total as f64, total as f64, chip_eq);
     }
 
@@ -166,11 +142,8 @@ pub fn pod_static_gating(
     if set.num_links() > 0 {
         let link_w = model.static_power_w(ComponentKind::Ici) * set.num_chips() as f64
             / set.num_links() as f64;
-        let policy = walk(gating.ici_bet, gating.ici_delay);
         for l in 0..set.num_links() {
-            let id = set.link(l);
-            let gaps = tl.idle_intervals(id, total);
-            let eq = walked_equivalent(&policy, &gaps, tl.busy_cycles(id), total);
+            let eq = walked(base.ici.as_ref(), set.link(l));
             add(link_w, total as f64, eq, eq);
         }
     }

@@ -14,11 +14,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use npu_arch::NpuSpec;
+use npu_arch::{ComponentKind, NpuSpec};
 use npu_power::{
-    ClockGating, DvfsScaling, GatePolicy, GatingParams, IdealOff, IntervalGating, NoGating,
-    PolicyInconsistency, PowerPolicy, SramGateMode, TileGrainRegating, WriteBackGating,
+    ClockGating, ComponentGating, DvfsScaling, GatePolicy, GatingParams, IdealOff, IntervalGating,
+    NoGating, PolicyInconsistency, PolicyWalk, PowerPolicy, SramGateMode, TileGrainRegating,
+    WriteBackGating,
 };
+use npu_sim::CycleInterval;
 
 use crate::designs::Design;
 
@@ -95,31 +97,22 @@ impl PolicyKind {
     #[must_use]
     pub fn config(self, gating: &GatingParams, spec: &NpuSpec) -> PolicyConfig {
         let leak = gating.leakage;
-        // The ReGate interval walk for one component, with the full
-        // wake-up delay exposed (`exposure` scales the exposed share).
-        let interval = |bet: u64, delay: u64, policy: GatePolicy, exposure: f64| IntervalGating {
-            bet,
-            delay,
-            leak: leak.logic_off,
-            policy,
-            stall_bet: bet,
-            stall_delay: delay,
-            wake_exposure: exposure,
+        // The ReGate interval walk for one whole component at its Table 3
+        // figures, with `exposure` of the wake-up delay exposed.
+        let interval = |kind: ComponentKind, policy: GatePolicy, exposure: f64| {
+            let bundle = ComponentGating {
+                bet: gating.component_bet(kind),
+                delay: gating.component_delay(kind),
+                leak: leak.logic_off,
+                policy,
+            };
+            IntervalGating::exposing(bundle, exposure)
         };
-        let sram_walk = |mode: SramGateMode| {
-            let g = gating.sram_gating(mode);
-            SramPolicy::Walk(Box::new(IntervalGating {
-                bet: g.bet,
-                delay: g.delay,
-                leak: g.leak,
-                policy: g.policy,
-                // Retention wake-ups are hidden under the access pipeline
-                // and never charged to the critical path.
-                stall_bet: g.bet,
-                stall_delay: g.delay,
-                wake_exposure: 0.0,
-            }))
-        };
+        // A retention-mode walk: its wake-ups are hidden under the access
+        // pipeline and never charged to the critical path.
+        let retention =
+            |mode: SramGateMode| IntervalGating::exposing(gating.sram_gating(mode), 0.0);
+        let sram_walk = |mode: SramGateMode| SramPolicy::Walk(Box::new(retention(mode)));
         // The systolic array walks at PE-level parameters under HW/Full
         // but only *full-array* wake-ups (intervals past the full-array
         // BET) stall the pipeline — the diagonal wavefront hides the rest.
@@ -148,31 +141,11 @@ impl PolicyKind {
             PolicyKind::Preset(Design::ReGateBase) => PolicyConfig {
                 kind: self,
                 sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(interval(
-                    gating.sa_full_bet,
-                    gating.sa_full_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
-                vu: Box::new(interval(gating.vu_bet, gating.vu_delay, GatePolicy::IdleDetect, 1.0)),
-                hbm: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
-                ici: Box::new(interval(
-                    gating.ici_bet,
-                    gating.ici_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
-                dma: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
+                sa_idle: Box::new(interval(ComponentKind::Sa, GatePolicy::IdleDetect, 1.0)),
+                vu: Box::new(interval(ComponentKind::Vu, GatePolicy::IdleDetect, 1.0)),
+                hbm: Box::new(interval(ComponentKind::Hbm, GatePolicy::IdleDetect, 1.0)),
+                ici: Box::new(interval(ComponentKind::Ici, GatePolicy::IdleDetect, 1.0)),
+                dma: Box::new(interval(ComponentKind::Dma, GatePolicy::IdleDetect, 1.0)),
                 sram: sram_walk(SramGateMode::Drowsy),
                 whole_chip: None,
                 idle_leak: IdleLeakModel::PerComponent {
@@ -184,25 +157,10 @@ impl PolicyKind {
                 kind: self,
                 sa_active: SaActiveMode::Spatial,
                 sa_idle: Box::new(sa_pe_level(GatePolicy::IdleDetect)),
-                vu: Box::new(interval(gating.vu_bet, gating.vu_delay, GatePolicy::IdleDetect, 1.0)),
-                hbm: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.5,
-                )),
-                ici: Box::new(interval(
-                    gating.ici_bet,
-                    gating.ici_delay,
-                    GatePolicy::IdleDetect,
-                    0.5,
-                )),
-                dma: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.5,
-                )),
+                vu: Box::new(interval(ComponentKind::Vu, GatePolicy::IdleDetect, 1.0)),
+                hbm: Box::new(interval(ComponentKind::Hbm, GatePolicy::IdleDetect, 0.5)),
+                ici: Box::new(interval(ComponentKind::Ici, GatePolicy::IdleDetect, 0.5)),
+                dma: Box::new(interval(ComponentKind::Dma, GatePolicy::IdleDetect, 0.5)),
                 sram: sram_walk(SramGateMode::Drowsy),
                 whole_chip: None,
                 idle_leak: IdleLeakModel::PerComponent {
@@ -216,30 +174,10 @@ impl PolicyKind {
                 sa_idle: Box::new(sa_pe_level(GatePolicy::CompilerDirected)),
                 // `setpm on` is issued ahead of the next use, hiding the
                 // VU wake-up behind the preceding instructions.
-                vu: Box::new(interval(
-                    gating.vu_bet,
-                    gating.vu_delay,
-                    GatePolicy::CompilerDirected,
-                    0.0,
-                )),
-                hbm: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.25,
-                )),
-                ici: Box::new(interval(
-                    gating.ici_bet,
-                    gating.ici_delay,
-                    GatePolicy::IdleDetect,
-                    0.25,
-                )),
-                dma: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.25,
-                )),
+                vu: Box::new(interval(ComponentKind::Vu, GatePolicy::CompilerDirected, 0.0)),
+                hbm: Box::new(interval(ComponentKind::Hbm, GatePolicy::IdleDetect, 0.25)),
+                ici: Box::new(interval(ComponentKind::Ici, GatePolicy::IdleDetect, 0.25)),
+                dma: Box::new(interval(ComponentKind::Dma, GatePolicy::IdleDetect, 0.25)),
                 sram: sram_walk(SramGateMode::Off),
                 whole_chip: None,
                 idle_leak: IdleLeakModel::PerComponent {
@@ -285,33 +223,21 @@ impl PolicyKind {
                 whole_chip: None,
                 idle_leak: IdleLeakModel::PerComponent { logic: scale, sram: scale },
             },
-            PolicyKind::DrowsyEverywhere => {
-                let drowsy = IntervalGating {
-                    bet: gating.sram_sleep_bet,
-                    delay: gating.sram_sleep_delay,
-                    leak: leak.sram_sleep,
-                    policy: GatePolicy::IdleDetect,
-                    stall_bet: gating.sram_sleep_bet,
-                    stall_delay: gating.sram_sleep_delay,
-                    // Retention wake-ups hide under the pipeline.
-                    wake_exposure: 0.0,
-                };
-                PolicyConfig {
-                    kind: self,
-                    sa_active: SaActiveMode::FullPower,
-                    sa_idle: Box::new(drowsy),
-                    vu: Box::new(drowsy),
-                    hbm: Box::new(drowsy),
-                    ici: Box::new(drowsy),
-                    dma: Box::new(drowsy),
-                    sram: sram_walk(SramGateMode::Drowsy),
-                    whole_chip: None,
-                    idle_leak: IdleLeakModel::PerComponent {
-                        logic: leak.sram_sleep,
-                        sram: leak.sram_sleep,
-                    },
-                }
-            }
+            PolicyKind::DrowsyEverywhere => PolicyConfig {
+                kind: self,
+                sa_active: SaActiveMode::FullPower,
+                sa_idle: Box::new(retention(SramGateMode::Drowsy)),
+                vu: Box::new(retention(SramGateMode::Drowsy)),
+                hbm: Box::new(retention(SramGateMode::Drowsy)),
+                ici: Box::new(retention(SramGateMode::Drowsy)),
+                dma: Box::new(retention(SramGateMode::Drowsy)),
+                sram: sram_walk(SramGateMode::Drowsy),
+                whole_chip: None,
+                idle_leak: IdleLeakModel::PerComponent {
+                    logic: leak.sram_sleep,
+                    sram: leak.sram_sleep,
+                },
+            },
             PolicyKind::TileGrainBase => {
                 let mut config = PolicyKind::Preset(Design::ReGateBase).config(gating, spec);
                 config.kind = self;
@@ -346,25 +272,32 @@ impl PolicyKind {
             PolicyKind::WholeChipFull => {
                 let mut config = PolicyKind::Preset(Design::ReGateFull).config(gating, spec);
                 config.kind = self;
-                // The uncore has no Table 3 row of its own: gating the
-                // whole chip is priced conservatively at twice the
-                // slowest component's break-even time and wake-up delay.
-                let bet = 2 * gating
-                    .sa_full_bet
-                    .max(gating.vu_bet)
-                    .max(gating.hbm_bet)
-                    .max(gating.ici_bet);
-                let delay = 2 * gating
-                    .sa_full_delay
-                    .max(gating.vu_delay)
-                    .max(gating.hbm_delay)
-                    .max(gating.ici_delay);
-                config.whole_chip =
-                    Some(Box::new(interval(bet, delay, GatePolicy::IdleDetect, 1.0)));
+                config.whole_chip = Some(Box::new(whole_chip_policy(gating)));
                 config
             }
         }
     }
+}
+
+/// The chip-level walk over whole-chip idle intervals (every tracked
+/// component quiet at once) at [`GatingParams::whole_chip`], exposing the
+/// full chip wake-up: what `WholeChipFull` adds on top of ReGate-Full and
+/// what pod pricing stacks on per-unit gating.
+pub(crate) fn whole_chip_policy(gating: &GatingParams) -> IntervalGating {
+    IntervalGating::exposing(gating.whole_chip(), 1.0)
+}
+
+/// Walks one component's positioned idle gaps under `policy`: their
+/// lengths in timeline order, the last one trailing when it runs to
+/// `makespan`.
+pub(crate) fn walk_gaps(
+    policy: &dyn PowerPolicy,
+    gaps: &[CycleInterval],
+    makespan: u64,
+) -> PolicyWalk {
+    let lens: Vec<u64> = gaps.iter().map(CycleInterval::len).collect();
+    let trailing = gaps.last().is_some_and(|gap| gap.end >= makespan);
+    policy.walk_intervals(&lens, trailing)
 }
 
 /// How the systolic array's *active* (computing) periods are priced.

@@ -117,7 +117,8 @@ impl GatingParams {
             ComponentKind::Sram => self.sram_off_delay,
             ComponentKind::Hbm => self.hbm_delay,
             ComponentKind::Ici => self.ici_delay,
-            ComponentKind::Dma => self.vu_delay,
+            // The DMA engine wakes with the HBM path it feeds.
+            ComponentKind::Dma => self.hbm_delay,
             ComponentKind::Other => u64::MAX,
         }
     }
@@ -131,7 +132,7 @@ impl GatingParams {
             ComponentKind::Sram => self.sram_off_bet,
             ComponentKind::Hbm => self.hbm_bet,
             ComponentKind::Ici => self.ici_bet,
-            ComponentKind::Dma => self.vu_bet,
+            ComponentKind::Dma => self.hbm_bet,
             ComponentKind::Other => u64::MAX,
         }
     }
@@ -177,20 +178,39 @@ impl GatingParams {
     /// driven by `setpm` (`ReGate-Full`), whose statically known interval
     /// bounds also skip the idle-detection window.
     #[must_use]
-    pub fn sram_gating(&self, mode: SramGateMode) -> SramGating {
+    pub fn sram_gating(&self, mode: SramGateMode) -> ComponentGating {
         match mode {
-            SramGateMode::Drowsy => SramGating {
+            SramGateMode::Drowsy => ComponentGating {
                 bet: self.sram_sleep_bet,
                 delay: self.sram_sleep_delay,
                 leak: self.leakage.sram_sleep,
                 policy: GatePolicy::IdleDetect,
             },
-            SramGateMode::Off => SramGating {
+            SramGateMode::Off => ComponentGating {
                 bet: self.sram_off_bet,
                 delay: self.sram_off_delay,
                 leak: self.leakage.sram_off,
                 policy: GatePolicy::CompilerDirected,
             },
+        }
+    }
+
+    /// Gating of the whole chip, uncore included, over the intervals in
+    /// which every tracked component is idle at once. The uncore has no
+    /// Table 3 row of its own, so the chip gates conservatively at twice
+    /// the slowest component's break-even time and wake-up delay, under
+    /// hardware idle detection with the logic residual.
+    #[must_use]
+    pub fn whole_chip(&self) -> ComponentGating {
+        ComponentGating {
+            bet: 2 * self.sa_full_bet.max(self.vu_bet).max(self.hbm_bet).max(self.ici_bet),
+            delay: 2 * self
+                .sa_full_delay
+                .max(self.vu_delay)
+                .max(self.hbm_delay)
+                .max(self.ici_delay),
+            leak: self.leakage.logic_off,
+            policy: GatePolicy::IdleDetect,
         }
     }
 
@@ -230,18 +250,26 @@ impl GatingParams {
         if !Self::gates_interval(bet, len) {
             return len_f;
         }
+        let entry = Self::entry_cycles(len, bet, delay, policy);
+        entry + (len_f - entry) * leak
+    }
+
+    /// Cycles a gated idle interval of `len` cycles spends at full power
+    /// before settling at its residual leakage, capped at the interval.
+    #[must_use]
+    pub(crate) fn entry_cycles(len: u64, bet: u64, delay: u64, policy: GatePolicy) -> f64 {
         let entry = match policy {
             // Hardware idle detection must *observe* idleness before
             // committing: the detection window (a third of the BET, as in
             // the synthesized prototype's counter configuration) is spent
             // at full power.
-            GatePolicy::IdleDetect => (bet as f64 / 3.0).min(len_f),
+            GatePolicy::IdleDetect => bet as f64 / 3.0,
             // The compiler knows the interval bounds exactly and issues
             // `setpm off` at its start and `setpm on` ahead of the next
             // use; both transitions burn full power but no window.
-            GatePolicy::CompilerDirected => (2.0 * delay as f64).min(len_f),
+            GatePolicy::CompilerDirected => 2.0 * delay as f64,
         };
-        entry + (len_f - entry) * leak
+        entry.min(len as f64)
     }
 
     /// Walks a component's real idle intervals and accumulates the
@@ -329,7 +357,7 @@ impl GatingParams {
         // which ReGate-Full relies on), the per-PE grain under hardware
         // idle detection, and both SRAM retention modes under their
         // governing policies.
-        let checks: [(&str, u64, u64, f64, GatePolicy); 8] = [
+        let checks: [(&str, u64, u64, f64, GatePolicy); 7] = [
             (
                 "SA",
                 self.sa_full_bet,
@@ -377,13 +405,6 @@ impl GatingParams {
                 self.sram_off_bet,
                 self.sram_off_delay,
                 self.leakage.sram_off,
-                GatePolicy::CompilerDirected,
-            ),
-            (
-                "DMA",
-                self.vu_bet,
-                self.vu_delay,
-                self.leakage.logic_off,
                 GatePolicy::CompilerDirected,
             ),
         ];
@@ -468,19 +489,42 @@ pub enum SramGateMode {
     Off,
 }
 
-/// Parameters for gating one dead SRAM segment in a retention mode: the
-/// bundle [`GatingParams::sram_gating`] hands to the interval walk.
+/// The gating parameters governing one component's idle gaps: the
+/// `(bet, delay, leak, policy)` bundle the interval walk consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SramGating {
-    /// Break-even time of the mode's transition pair, in cycles.
+pub struct ComponentGating {
+    /// Break-even time in cycles; shorter gaps stay at full power.
     pub bet: u64,
-    /// Power-down/power-up delay of the mode, in cycles.
+    /// Power-on/off transition delay in cycles.
     pub delay: u64,
-    /// Residual leakage in the mode, as a fraction of full static power.
+    /// Residual leakage while gated, as a fraction of full static power.
     pub leak: f64,
-    /// How intervals are recognized and entered (hardware detection for
-    /// drowsy, compiler-directed `setpm` for off).
+    /// How gating is entered (idle detection vs compiler-directed).
     pub policy: GatePolicy,
+}
+
+impl ComponentGating {
+    /// The default gating bundle for a component kind: logic components
+    /// gate compiler-directed at their Table 3 break-even times with the
+    /// `logic_off` residual, SRAM follows the selected retention mode,
+    /// and peripheral logic (`Other`) cannot gate at all (`None`).
+    #[must_use]
+    pub fn for_kind(
+        params: &GatingParams,
+        kind: ComponentKind,
+        sram_mode: SramGateMode,
+    ) -> Option<ComponentGating> {
+        match kind {
+            ComponentKind::Other => None,
+            ComponentKind::Sram => Some(params.sram_gating(sram_mode)),
+            _ => Some(ComponentGating {
+                bet: params.component_bet(kind),
+                delay: params.component_delay(kind),
+                leak: params.leakage.logic_off,
+                policy: GatePolicy::CompilerDirected,
+            }),
+        }
+    }
 }
 
 /// How a gating mechanism decides to gate an idle interval (paper §4).
@@ -568,6 +612,9 @@ mod tests {
         let p = GatingParams::default();
         assert_eq!(p.component_bet(ComponentKind::Vu), 32);
         assert_eq!(p.component_delay(ComponentKind::Hbm), 60);
+        // The DMA engine wakes with the HBM path it feeds.
+        assert_eq!(p.component_bet(ComponentKind::Dma), p.component_bet(ComponentKind::Hbm));
+        assert_eq!(p.component_delay(ComponentKind::Dma), p.component_delay(ComponentKind::Hbm));
         assert_eq!(p.component_bet(ComponentKind::Other), u64::MAX);
         for kind in ComponentKind::GATEABLE {
             assert!(p.component_bet(kind) > p.component_delay(kind));
@@ -746,7 +793,6 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| v.rule == GatingRule::BetBelowAmortization && v.component == "VU"));
-        // DMA shares the VU parameters, so it fires too; nothing else does.
         assert!(violations.iter().all(|v| v.rule == GatingRule::BetBelowAmortization));
     }
 

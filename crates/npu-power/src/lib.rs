@@ -42,12 +42,12 @@ pub mod telemetry;
 pub use carbon::{CarbonModel, LifespanPoint};
 pub use energy::{ComponentEnergy, EnergyBreakdown};
 pub use gating::{
-    GatePolicy, GatedIdleSummary, GatingInconsistency, GatingParams, GatingRule, LeakageRatios,
-    SramGateMode, SramGating,
+    ComponentGating, GatePolicy, GatedIdleSummary, GatingInconsistency, GatingParams, GatingRule,
+    LeakageRatios, SramGateMode,
 };
 pub use policy::{
     ClockGating, DvfsScaling, IdealOff, IntervalGating, NoGating, PolicyInconsistency, PolicyRule,
     PolicyWalk, PowerPolicy, TileGrainRegating, WriteBackGating,
 };
 pub use power::{PowerModel, DATACENTER_PUE, NPU_DUTY_CYCLE};
-pub use telemetry::{ComponentGating, ComponentWaveform, PowerStep, PowerTimeline};
+pub use telemetry::{ComponentWaveform, PowerStep, PowerTimeline};

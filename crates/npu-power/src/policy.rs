@@ -30,7 +30,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::gating::{GatePolicy, GatingParams};
+use crate::gating::{ComponentGating, GatePolicy, GatingParams};
 
 /// Result of pricing one component's idle intervals under one policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -75,20 +75,29 @@ pub enum PolicyRule {
 
 /// A per-component idle-interval pricing strategy.
 ///
-/// Implementations receive the component's idle intervals twice: `all`
-/// holds every interval, `waking` only the subset that is followed by more
-/// work on the timeline (an interval that runs to the end of the trace
-/// never has to wake anything up). Both slices are in timeline order.
+/// Implementations receive the lengths of the component's idle intervals
+/// in timeline order, and whether the last one is *trailing*: it runs to
+/// the end of the trace, so it never has to wake anything up. Every other
+/// interval is followed by more work and pays its wake-up.
 pub trait PowerPolicy: std::fmt::Debug {
     /// Short human-readable name for tables and diagnostics.
     fn label(&self) -> String;
 
     /// Prices the idle intervals and the wake-up stalls they expose.
-    fn walk_intervals(&self, all: &[u64], waking: &[u64]) -> PolicyWalk;
+    fn walk_intervals(&self, lens: &[u64], trailing: bool) -> PolicyWalk;
 
     /// Configuration-consistency findings (empty when well-formed).
     fn consistency(&self) -> Vec<PolicyInconsistency> {
         Vec::new()
+    }
+}
+
+/// The intervals of `lens` followed by more work: all but a trailing last.
+fn waking(lens: &[u64], trailing: bool) -> &[u64] {
+    if trailing {
+        &lens[..lens.len().saturating_sub(1)]
+    } else {
+        lens
     }
 }
 
@@ -107,9 +116,9 @@ impl PowerPolicy for NoGating {
         "no-gating".into()
     }
 
-    fn walk_intervals(&self, all: &[u64], _waking: &[u64]) -> PolicyWalk {
+    fn walk_intervals(&self, lens: &[u64], _trailing: bool) -> PolicyWalk {
         PolicyWalk {
-            equivalent_cycles: all.iter().sum::<u64>() as f64,
+            equivalent_cycles: lens.iter().sum::<u64>() as f64,
             wake_stall_cycles: 0.0,
             gated_intervals: 0,
         }
@@ -126,11 +135,11 @@ impl PowerPolicy for IdealOff {
         "ideal-off".into()
     }
 
-    fn walk_intervals(&self, all: &[u64], _waking: &[u64]) -> PolicyWalk {
+    fn walk_intervals(&self, lens: &[u64], _trailing: bool) -> PolicyWalk {
         PolicyWalk {
             equivalent_cycles: 0.0,
             wake_stall_cycles: 0.0,
-            gated_intervals: all.len() as u64,
+            gated_intervals: lens.len() as u64,
         }
     }
 }
@@ -162,20 +171,37 @@ pub struct IntervalGating {
     pub wake_exposure: f64,
 }
 
+impl IntervalGating {
+    /// The walk at one gating bundle, where every waking interval that
+    /// gates exposes `wake_exposure` of the bundle's delay.
+    #[must_use]
+    pub fn exposing(gating: ComponentGating, wake_exposure: f64) -> Self {
+        IntervalGating {
+            bet: gating.bet,
+            delay: gating.delay,
+            leak: gating.leak,
+            policy: gating.policy,
+            stall_bet: gating.bet,
+            stall_delay: gating.delay,
+            wake_exposure,
+        }
+    }
+}
+
 impl PowerPolicy for IntervalGating {
     fn label(&self) -> String {
         format!("interval-gating(bet={}, delay={})", self.bet, self.delay)
     }
 
-    fn walk_intervals(&self, all: &[u64], waking: &[u64]) -> PolicyWalk {
+    fn walk_intervals(&self, lens: &[u64], trailing: bool) -> PolicyWalk {
         let walk = GatingParams::walk_idle_intervals(
-            all.iter().copied(),
+            lens.iter().copied(),
             self.bet,
             self.delay,
             self.leak,
             self.policy,
         );
-        let wakeups = gated_count(waking, self.stall_bet);
+        let wakeups = gated_count(waking(lens, trailing), self.stall_bet);
         PolicyWalk {
             equivalent_cycles: walk.equivalent_cycles,
             wake_stall_cycles: wakeups as f64 * self.stall_delay as f64 * self.wake_exposure,
@@ -201,11 +227,11 @@ impl PowerPolicy for ClockGating {
         format!("clock-gating(residual={})", self.residual)
     }
 
-    fn walk_intervals(&self, all: &[u64], _waking: &[u64]) -> PolicyWalk {
+    fn walk_intervals(&self, lens: &[u64], _trailing: bool) -> PolicyWalk {
         PolicyWalk {
-            equivalent_cycles: all.iter().sum::<u64>() as f64 * self.residual,
+            equivalent_cycles: lens.iter().sum::<u64>() as f64 * self.residual,
             wake_stall_cycles: 0.0,
-            gated_intervals: all.len() as u64,
+            gated_intervals: lens.len() as u64,
         }
     }
 
@@ -241,11 +267,11 @@ impl PowerPolicy for DvfsScaling {
         format!("dvfs(scale={})", self.scale)
     }
 
-    fn walk_intervals(&self, all: &[u64], _waking: &[u64]) -> PolicyWalk {
+    fn walk_intervals(&self, lens: &[u64], _trailing: bool) -> PolicyWalk {
         PolicyWalk {
-            equivalent_cycles: all.iter().sum::<u64>() as f64 * self.scale,
+            equivalent_cycles: lens.iter().sum::<u64>() as f64 * self.scale,
             wake_stall_cycles: 0.0,
-            gated_intervals: all.len() as u64,
+            gated_intervals: lens.len() as u64,
         }
     }
 
@@ -298,9 +324,9 @@ impl PowerPolicy for TileGrainRegating {
         format!("tile-grain-regating(bet={}, tile_delay={})", self.bet, self.tile_delay)
     }
 
-    fn walk_intervals(&self, all: &[u64], waking: &[u64]) -> PolicyWalk {
+    fn walk_intervals(&self, lens: &[u64], trailing: bool) -> PolicyWalk {
         let mut walk = PolicyWalk::default();
-        for &len in all {
+        for &len in lens {
             walk.equivalent_cycles += GatingParams::idle_interval_equivalent_cycles(
                 len,
                 self.bet,
@@ -316,7 +342,8 @@ impl PowerPolicy for TileGrainRegating {
                 walk.equivalent_cycles += 2.0 * self.tile_delay as f64;
             }
         }
-        walk.wake_stall_cycles = (gated_count(waking, self.bet) * self.tile_delay) as f64;
+        walk.wake_stall_cycles =
+            (gated_count(waking(lens, trailing), self.bet) * self.tile_delay) as f64;
         walk
     }
 
@@ -387,9 +414,9 @@ impl PowerPolicy for WriteBackGating {
         format!("writeback-gating(bet={}, writeback={})", self.bet, self.writeback_cycles)
     }
 
-    fn walk_intervals(&self, all: &[u64], _waking: &[u64]) -> PolicyWalk {
+    fn walk_intervals(&self, lens: &[u64], _trailing: bool) -> PolicyWalk {
         let mut walk = PolicyWalk::default();
-        for &len in all {
+        for &len in lens {
             let len_f = len as f64;
             if !GatingParams::gates_interval(self.bet, len) {
                 walk.equivalent_cycles += len_f;
@@ -441,7 +468,7 @@ mod tests {
 
     #[test]
     fn no_gating_charges_full_idle_and_never_stalls() {
-        let walk = NoGating.walk_intervals(&INTERVALS, &INTERVALS);
+        let walk = NoGating.walk_intervals(&INTERVALS, false);
         assert_eq!(walk.equivalent_cycles, 10_553.0);
         assert_eq!(walk.wake_stall_cycles, 0.0);
         assert_eq!(walk.gated_intervals, 0);
@@ -449,7 +476,7 @@ mod tests {
 
     #[test]
     fn ideal_off_charges_nothing() {
-        let walk = IdealOff.walk_intervals(&INTERVALS, &INTERVALS);
+        let walk = IdealOff.walk_intervals(&INTERVALS, false);
         assert_eq!(walk.equivalent_cycles, 0.0);
         assert_eq!(walk.wake_stall_cycles, 0.0);
         assert_eq!(walk.gated_intervals, INTERVALS.len() as u64);
@@ -473,18 +500,23 @@ mod tests {
             0.03,
             GatePolicy::IdleDetect,
         );
-        let walk = policy.walk_intervals(&INTERVALS, &INTERVALS);
+        let walk = policy.walk_intervals(&INTERVALS, false);
         assert_eq!(walk.equivalent_cycles, raw.equivalent_cycles);
         assert_eq!(walk.gated_intervals, raw.gated_intervals);
         // Two waking intervals (500 and 10 000) reach the stall BET of 400;
         // each exposes half of the 10-cycle delay.
         assert_eq!(walk.wake_stall_cycles, 2.0 * 10.0 * 0.5);
+        // A trailing 10 000 still gates for energy but wakes nothing.
+        let trailing = policy.walk_intervals(&INTERVALS, true);
+        assert_eq!(trailing.equivalent_cycles, raw.equivalent_cycles);
+        assert_eq!(trailing.gated_intervals, raw.gated_intervals);
+        assert_eq!(trailing.wake_stall_cycles, 10.0 * 0.5);
     }
 
     #[test]
     fn clock_gating_scales_idle_by_the_residual_with_zero_stall() {
         let policy = ClockGating { residual: 0.55 };
-        let walk = policy.walk_intervals(&INTERVALS, &INTERVALS);
+        let walk = policy.walk_intervals(&INTERVALS, false);
         assert_eq!(walk.equivalent_cycles, 10_553.0 * 0.55);
         assert_eq!(walk.wake_stall_cycles, 0.0);
         assert!(policy.consistency().is_empty());
@@ -501,7 +533,7 @@ mod tests {
     #[test]
     fn dvfs_scales_idle_and_rejects_out_of_range_factors() {
         let policy = DvfsScaling { scale: 0.6 };
-        let walk = policy.walk_intervals(&INTERVALS, &INTERVALS);
+        let walk = policy.walk_intervals(&INTERVALS, false);
         assert_eq!(walk.equivalent_cycles, 10_553.0 * 0.6);
         assert!(policy.consistency().is_empty());
         assert_eq!(DvfsScaling { scale: 0.0 }.consistency()[0].rule, PolicyRule::ScaleOutOfRange);
@@ -520,8 +552,8 @@ mod tests {
             wake_exposure: 1.0,
         };
         let tile = TileGrainRegating { bet: 469, delay: 10, leak: 0.03, tile_delay: 1 };
-        let full_walk = full.walk_intervals(&INTERVALS, &INTERVALS);
-        let tile_walk = tile.walk_intervals(&INTERVALS, &INTERVALS);
+        let full_walk = full.walk_intervals(&INTERVALS, false);
+        let tile_walk = tile.walk_intervals(&INTERVALS, false);
         // Two intervals gate (500, 10 000): the tile-grain variant pays an
         // extra 2 x tile_delay each but stalls at 1 cycle per wake instead
         // of 10.
@@ -529,6 +561,11 @@ mod tests {
         assert_eq!(tile_walk.equivalent_cycles, full_walk.equivalent_cycles + 2.0 * 2.0);
         assert_eq!(full_walk.wake_stall_cycles, 20.0);
         assert_eq!(tile_walk.wake_stall_cycles, 2.0);
+        // A trailing 10 000 pays its transitions but wakes no tile.
+        let trailing = tile.walk_intervals(&INTERVALS, true);
+        assert_eq!(trailing.equivalent_cycles, tile_walk.equivalent_cycles);
+        assert_eq!(trailing.gated_intervals, tile_walk.gated_intervals);
+        assert_eq!(trailing.wake_stall_cycles, 1.0);
         assert!(tile.consistency().is_empty());
         assert!(!TileGrainRegating { bet: 469, delay: 1, leak: 0.03, tile_delay: 10 }
             .consistency()
@@ -546,11 +583,11 @@ mod tests {
         assert_eq!(policy.bet, 85);
 
         // A short gated interval is capped at its own length.
-        let short = policy.walk_intervals(&[policy.bet], &[]);
+        let short = policy.walk_intervals(&[policy.bet], true);
         let entry = (2 * policy.delay + policy.writeback_cycles) as f64;
         assert_eq!(short.equivalent_cycles, entry + (policy.bet as f64 - entry) * policy.leak);
         // Sub-BET intervals stay powered at full cost.
-        let sub = policy.walk_intervals(&[policy.bet - 1], &[]);
+        let sub = policy.walk_intervals(&[policy.bet - 1], true);
         assert_eq!(sub.equivalent_cycles, (policy.bet - 1) as f64);
         // No stalls: restore is lazy and off the critical path.
         assert_eq!(short.wake_stall_cycles, 0.0);

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use npu_arch::ComponentKind;
 
-use crate::gating::{GatePolicy, GatingParams, SramGateMode};
+use crate::gating::{ComponentGating, GatingParams};
 
 /// One step of a piecewise-constant power waveform: `watts` over
 /// `[start_cycle, end_cycle)`. Boundaries are `f64` because idle-detection
@@ -46,52 +46,6 @@ impl PowerStep {
     #[must_use]
     pub fn cycles(&self) -> f64 {
         self.end_cycle - self.start_cycle
-    }
-}
-
-/// The gating parameters governing one component's idle gaps: the same
-/// `(bet, delay, leak, policy)` bundle the interval walk consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ComponentGating {
-    /// Break-even time in cycles; shorter gaps stay at full power.
-    pub bet: u64,
-    /// Power-on/off transition delay in cycles.
-    pub delay: u64,
-    /// Residual leakage while gated, as a fraction of full static power.
-    pub leak: f64,
-    /// How gating is entered (idle detection vs compiler-directed).
-    pub policy: GatePolicy,
-}
-
-impl ComponentGating {
-    /// The default gating bundle for a component kind: logic components
-    /// gate compiler-directed at their Table 3 break-even times with the
-    /// `logic_off` residual, SRAM follows the selected retention mode,
-    /// and peripheral logic (`Other`) cannot gate at all (`None`).
-    #[must_use]
-    pub fn for_kind(
-        params: &GatingParams,
-        kind: ComponentKind,
-        sram_mode: SramGateMode,
-    ) -> Option<ComponentGating> {
-        match kind {
-            ComponentKind::Other => None,
-            ComponentKind::Sram => {
-                let sram = params.sram_gating(sram_mode);
-                Some(ComponentGating {
-                    bet: sram.bet,
-                    delay: sram.delay,
-                    leak: sram.leak,
-                    policy: sram.policy,
-                })
-            }
-            _ => Some(ComponentGating {
-                bet: params.component_bet(kind),
-                delay: params.component_delay(kind),
-                leak: params.leakage.logic_off,
-                policy: GatePolicy::CompilerDirected,
-            }),
-        }
     }
 }
 
@@ -232,13 +186,13 @@ impl PowerTimeline {
         let mut cursor = 0u64;
         for &(start, end) in busy {
             if start > cursor {
-                fold_gap(&mut wave, cursor as f64, start as f64, static_w, gating, false);
+                fold_gap(&mut wave, cursor, start, static_w, gating, false);
             }
             push_step(&mut wave.steps, start as f64, end as f64, static_w + dynamic_w);
             cursor = end;
         }
         if cursor < self.makespan_cycles {
-            fold_gap(&mut wave, cursor as f64, self.makespan_cycles as f64, static_w, gating, true);
+            fold_gap(&mut wave, cursor, self.makespan_cycles, static_w, gating, true);
         }
         self.components.push(wave);
     }
@@ -351,23 +305,20 @@ fn push_step(steps: &mut Vec<PowerStep>, start: f64, end: f64, watts: f64) {
 /// policy's entry window at full power followed by the residual plateau.
 fn fold_gap(
     wave: &mut ComponentWaveform,
-    start: f64,
-    end: f64,
+    start: u64,
+    end: u64,
     static_w: f64,
     gating: Option<ComponentGating>,
     trailing: bool,
 ) {
     let len = end - start;
-    let gated =
-        gating.filter(|g| GatingParams::gates_interval(g.bet, len as u64)).filter(|_| len > 0.0);
+    let (start, end) = (start as f64, end as f64);
+    let gated = gating.filter(|g| GatingParams::gates_interval(g.bet, len)).filter(|_| len > 0);
     let Some(g) = gated else {
         push_step(&mut wave.steps, start, end, static_w);
         return;
     };
-    let entry = match g.policy {
-        GatePolicy::IdleDetect => (g.bet as f64 / 3.0).min(len),
-        GatePolicy::CompilerDirected => (2.0 * g.delay as f64).min(len),
-    };
+    let entry = GatingParams::entry_cycles(len, g.bet, g.delay, g.policy);
     push_step(&mut wave.steps, start, start + entry, static_w);
     push_step(&mut wave.steps, start + entry, end, g.leak * static_w);
     wave.gated_intervals += 1;
@@ -384,6 +335,7 @@ mod tests {
 
     use super::*;
     use crate::energy::{ChipUsage, EnergyBreakdown};
+    use crate::gating::{GatePolicy, SramGateMode};
     use crate::power::PowerModel;
 
     const SPC: f64 = 1e-9;

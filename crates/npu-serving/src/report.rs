@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 
 use npu_arch::ComponentKind;
+use npu_power::GatingParams;
 use npu_sim::RunCounters;
 use regate::{Design, Evaluator, WorkloadEvaluation};
 use serde::{Deserialize, Serialize};
@@ -98,11 +99,9 @@ impl ServingReport {
         }
 
         // Whole-chip gateable share: union-idle windows long enough for
-        // the conservative chip-level break-even time (twice the slowest
-        // component's, as in `regate::PolicyKind::WholeChipFull`).
-        let gating = evaluator.gating();
-        let chip_bet =
-            2 * gating.sa_full_bet.max(gating.vu_bet).max(gating.hbm_bet).max(gating.ici_bet);
+        // the chip-level break-even time `regate::PolicyKind::WholeChipFull`
+        // gates at.
+        let chip_bet = evaluator.gating().whole_chip().bet;
         let total_cycles = outcome.simulation.total_cycles();
         let gateable: u64 = outcome
             .simulation
@@ -118,7 +117,7 @@ impl ServingReport {
                 total_cycles,
             )
             .iter()
-            .filter(|iv| iv.len() >= chip_bet)
+            .filter(|iv| GatingParams::gates_interval(chip_bet, iv.len()))
             .map(npu_sim::CycleInterval::len)
             .sum();
         let whole_chip_idle_fraction =

@@ -7,8 +7,8 @@
 //! hooks are empty default methods: the engine's observed run is generic
 //! over `O: SimObserver`, so the `NullObserver` instantiation monomorphizes
 //! every hook away and the unobserved hot path stays bit-identical and
-//! allocation-free (pinned by the digest tests and the `engine_hot_loop`
-//! bench). Real observers — [`crate::trace::TraceRecorder`], ad-hoc test
+//! allocation-free (pinned by the digest tests; its host time is
+//! perfbench's `sim.replay_ms`). Real observers — [`crate::trace::TraceRecorder`], ad-hoc test
 //! probes — pay only for what they record.
 //!
 //! Wall-clock profiling is deliberately quarantined behind the
