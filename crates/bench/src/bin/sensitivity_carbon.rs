@@ -13,7 +13,7 @@ use regate::experiments::{
     delay_sensitivity, generation_sweep, leakage_sensitivity, lifespan_sweep,
 };
 use regate::{Design, Evaluator};
-use regate_bench::{pct, section};
+use regate_bench::{infeasible, pct, section};
 
 fn main() {
     // Representative workloads (the paper uses Llama3.1-405B, DLRM, DiT; we
@@ -55,9 +55,15 @@ fn main() {
     for (workload, chips) in [(&decode, 8usize), (&dlrm, 8)] {
         println!("{}:", workload.label());
         for (generation, savings) in generation_sweep(workload, chips) {
-            let parts: Vec<String> =
-                savings.iter().map(|(d, s)| format!("{d} {}", pct(*s))).collect();
-            println!("  {:<7} {}", generation.to_string(), parts.join("  "));
+            let row = match savings {
+                Ok(savings) => {
+                    let parts: Vec<String> =
+                        savings.iter().map(|(d, s)| format!("{d} {}", pct(*s))).collect();
+                    parts.join("  ")
+                }
+                Err(report) => infeasible(&report),
+            };
+            println!("  {:<7} {row}", generation.to_string());
         }
     }
 

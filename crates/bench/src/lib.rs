@@ -27,6 +27,15 @@ pub fn kv(key: &str, value: impl std::fmt::Display) {
     println!("{key:<44} {value}");
 }
 
+/// The table cell of a deployment the evaluator denied: the analyzer's
+/// denial rule ids (for example `topo.parallelism-infeasible` when no
+/// parallelism fits the deployment's HBM).
+#[must_use]
+pub fn infeasible(report: &npu_sim::AnalysisReport) -> String {
+    let rules: Vec<&str> = report.denials().map(|d| d.rule_id.as_str()).collect();
+    format!("infeasible ({})", rules.join(", "))
+}
+
 /// The deterministic PRNG shared by the seeded invariant harnesses and
 /// the serving layer's arrival sampling. The implementation was promoted
 /// from this crate into [`npu_sim::rng`] so production code (Poisson

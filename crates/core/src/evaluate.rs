@@ -14,7 +14,13 @@
 //! paper's Figures 9/15. Static energy is the component's leakage power
 //! times the equivalent cycles; dynamic energy is identical across designs
 //! (the same work is performed).
+//!
+//! All designs of one trace are priced on one shared timeline: the trace
+//! is profiled once (idle-gap lengths, SRAM dead gaps, SA active-period
+//! cycles, the hungriest operator's power), and each policy kind only
+//! walks that profile.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -24,15 +30,25 @@ use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{ExecutionUnit, Workload};
 use npu_power::energy::ChipUsage;
 use npu_power::{CarbonModel, EnergyBreakdown, GatingParams, PowerModel};
-use npu_sim::{AnalysisReport, CycleInterval, Diagnostic, OpTiming, SimulationResult, Simulator};
+use npu_sim::{AnalysisReport, Diagnostic, SimulationResult, Simulator};
 
 use crate::designs::Design;
 use crate::pe_gating::SaGatingPlan;
-use crate::policy::{walk_gaps, IdleLeakModel, PolicyKind, SaActiveMode, SramPolicy};
+use crate::policy::{GapLengths, IdleLeakModel, PolicyKind, SaActiveMode, SramPolicy};
 
 /// Residual power of a PE in the weight-retaining `W_on` mode, as a
 /// fraction of its fully-on static power.
 const W_ON_RESIDUAL: f64 = 0.10;
+
+/// The components with their own busy timeline, each walked by its own
+/// idle-interval policy; their union idleness is the whole-chip idleness.
+const TIMELINE_UNITS: [ComponentKind; 5] = [
+    ComponentKind::Sa,
+    ComponentKind::Vu,
+    ComponentKind::Hbm,
+    ComponentKind::Ici,
+    ComponentKind::Dma,
+];
 
 /// Evaluation of one design point for one workload deployment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -313,17 +329,12 @@ impl Evaluator {
         simulation: SimulationResult,
         duty_cycle: f64,
     ) -> WorkloadEvaluation {
-        let (model, baseline) = self.baseline(num_chips, compiled, &simulation, duty_cycle);
+        let profile = self.profile(num_chips, compiled, &simulation, duty_cycle);
         let designs = Design::ALL
             .into_iter()
             .map(|design| {
-                let (energy, performance_overhead, peak_power_w) = self.price(
-                    PolicyKind::Preset(design),
-                    compiled,
-                    &simulation,
-                    &model,
-                    &baseline,
-                );
+                let (energy, performance_overhead, peak_power_w) =
+                    self.price(PolicyKind::Preset(design), &profile);
                 (design, DesignEvaluation { design, energy, performance_overhead, peak_power_w })
             })
             .collect();
@@ -361,13 +372,12 @@ impl Evaluator {
         duty_cycle: f64,
         kinds: &[PolicyKind],
     ) -> PolicySetEvaluation {
-        let (model, baseline) = self.baseline(num_chips, compiled, simulation, duty_cycle);
-        let baseline_total_j = baseline.total_j();
+        let profile = self.profile(num_chips, compiled, simulation, duty_cycle);
+        let baseline_total_j = profile.baseline.total_j();
         let rows = kinds
             .iter()
             .map(|&kind| {
-                let (energy, performance_overhead, peak_power_w) =
-                    self.price(kind, compiled, simulation, &model, &baseline);
+                let (energy, performance_overhead, peak_power_w) = self.price(kind, &profile);
                 let savings = if baseline_total_j == 0.0 {
                     0.0
                 } else {
@@ -386,29 +396,110 @@ impl Evaluator {
         PolicySetEvaluation { baseline_total_j, rows }
     }
 
-    /// The power model and `NoPG` baseline of one simulated trace.
+    /// Extracts the pricing profile of one simulated trace, shared by
+    /// every kind priced on it.
     ///
     /// # Panics
     ///
     /// Panics if the simulation was produced on a different chip
     /// deployment than this evaluator's `(generation, num_chips)`.
-    fn baseline(
+    fn profile<'a>(
         &self,
         num_chips: usize,
         compiled: &CompiledGraph,
-        simulation: &SimulationResult,
+        sim: &'a SimulationResult,
         duty_cycle: f64,
-    ) -> (PowerModel, EnergyBreakdown) {
+    ) -> PricingProfile<'a> {
         let chip = ChipConfig::new(self.generation, num_chips);
         assert_eq!(
-            *simulation.chip(),
+            *sim.chip(),
             chip,
             "simulation ran on a different chip deployment than the evaluator targets"
         );
         let model = PowerModel::new(chip.spec());
-        let usage = Self::chip_usage(compiled, simulation);
+        let spec = model.spec();
+        let usage = Self::chip_usage(compiled, sim);
         let baseline = EnergyBreakdown::no_power_gating_with_duty(&model, &usage, duty_cycle);
-        (model, baseline)
+        let total_cycles = sim.total_cycles();
+        let timeline = sim.busy_timeline();
+        let units = TIMELINE_UNITS.map(|kind| UnitProfile {
+            kind,
+            busy_cycles: timeline.busy_cycles(kind),
+            idle: GapLengths::of(&timeline.idle_intervals(kind, total_cycles), total_cycles),
+        });
+
+        // Active-period SA cycles per mode, summed in operator order (an
+        // operator that never touches the array adds nothing).
+        let sa_width = spec.sa_width;
+        let leak = self.gating.leakage.logic_off;
+        let mut sa_active = SaActiveCycles::default();
+        for (op, timing) in compiled.anchors().zip(sim.timings()) {
+            let active = timing.sa_active_cycles as f64;
+            if active == 0.0 {
+                continue;
+            }
+            // Component-level gating cannot exploit spatial
+            // underutilization: the whole array burns full static power
+            // while any PE computes.
+            sa_active.full_power += active;
+            // PE-level gating: rows/columns holding padded zero weights
+            // are off, and the diagonal wavefront keeps PEs in W_on
+            // outside the input wave.
+            let (m, k, n) = op.op.matmul_dims().unwrap_or((1, 1, 1));
+            let gated_frac = SaGatingPlan::matmul_gated_pe_cycle_fraction(
+                sa_width,
+                k as usize,
+                n as usize,
+                m.min(sa_width as u64 * 32),
+                W_ON_RESIDUAL,
+            );
+            sa_active.spatial += active * ((1.0 - gated_frac) + gated_frac * leak);
+            sa_active.utilization += active * timing.sa_spatial_utilization;
+        }
+
+        let segments = sim.segment_timeline();
+        let total_segments = segments.num_segments();
+        let sram = (total_segments > 0 && total_cycles > 0).then(|| SramProfile {
+            bands: segments
+                .bands()
+                .iter()
+                .map(|band| SramBand {
+                    live_cycles: band.live_cycles(),
+                    num_segments: band.num_segments,
+                    dead: GapLengths::of(&segments.dead_intervals_of(band), total_cycles),
+                })
+                .collect(),
+            never_live: total_segments - segments.ever_live_segments(),
+            total_segments,
+        });
+
+        let max_op_dynamic_w = sim
+            .timings()
+            .iter()
+            .filter_map(|t| {
+                let secs = t.duration_seconds(spec.frequency_hz());
+                (secs > 0.0).then(|| {
+                    let dynamic_j = model.sa_energy_per_flop() * t.flops
+                        + model.hbm_energy_per_byte() * t.hbm_bytes as f64
+                        + model.ici_energy_per_byte() * t.ici_bytes as f64
+                        + model.sram_energy_per_byte() * 3.0 * t.hbm_bytes as f64
+                        + model.other_dynamic_power_w() * secs;
+                    dynamic_j / secs
+                })
+            })
+            .reduce(f64::max);
+
+        PricingProfile {
+            model,
+            baseline,
+            total_cycles,
+            units,
+            sa_active,
+            sram,
+            max_op_dynamic_w,
+            chip_idle: OnceCell::new(),
+            sim,
+        }
     }
 
     /// Builds the chip-activity counters for the dynamic-energy model.
@@ -437,30 +528,19 @@ impl Evaluator {
         }
     }
 
-    /// Prices one policy over the simulated timeline and returns
+    /// Prices one policy over a profiled trace and returns
     /// `(energy, performance_overhead, peak_power_w)`: the kind expands
     /// into its [`PolicyConfig`](crate::PolicyConfig), whose
-    /// per-component policies walk the simulation's real idle intervals.
+    /// per-component policies walk the trace's real idle intervals.
     /// `NoPG` is the baseline itself.
-    fn price(
-        &self,
-        kind: PolicyKind,
-        compiled: &CompiledGraph,
-        sim: &SimulationResult,
-        model: &PowerModel,
-        baseline: &EnergyBreakdown,
-    ) -> (EnergyBreakdown, f64, f64) {
+    fn price(&self, kind: PolicyKind, profile: &PricingProfile<'_>) -> (EnergyBreakdown, f64, f64) {
+        let PricingProfile { model, baseline, total_cycles, .. } = profile;
+        let total_cycles = *total_cycles;
         if kind == PolicyKind::Preset(Design::NoPg) {
-            let peak_power_w = self.peak_power(model, sim.timings(), baseline, sim.total_cycles());
-            return (baseline.clone(), 0.0, peak_power_w);
+            return (baseline.clone(), 0.0, profile.peak_power(baseline));
         }
         let config = kind.config(&self.gating, model.spec());
-        let spec = model.spec();
-        let cycle_s = spec.cycle_seconds();
-        let timeline = sim.busy_timeline();
-        let total_cycles = sim.total_cycles();
-        let anchors: Vec<_> = compiled.anchors().collect();
-        let timings = sim.timings();
+        let cycle_s = model.spec().cycle_seconds();
 
         // Equivalent full-power cycles per component: busy time at its
         // policy-specific rate, plus the component's *real* idle intervals
@@ -473,28 +553,15 @@ impl Evaluator {
         //     shapes); vector units, HBM / ICI controllers and the DMA
         //     engine: full power while busy. Every component's real idle
         //     gaps are walked by its policy. ---
-        let mut sa_busy_eq = 0.0f64;
-        for (op, timing) in anchors.iter().zip(timings.iter()) {
-            sa_busy_eq += self.sa_active_equivalent_cycles(config.sa_active, op, timing);
-        }
-        for (kind, policy) in [
-            (ComponentKind::Sa, &config.sa_idle),
-            (ComponentKind::Vu, &config.vu),
-            (ComponentKind::Hbm, &config.hbm),
-            (ComponentKind::Ici, &config.ici),
-            (ComponentKind::Dma, &config.dma),
-        ] {
-            let busy = if kind == ComponentKind::Sa {
-                sa_busy_eq
+        let policies = [&config.sa_idle, &config.vu, &config.hbm, &config.ici, &config.dma];
+        for (unit, policy) in profile.units.iter().zip(policies) {
+            let busy = if unit.kind == ComponentKind::Sa {
+                profile.sa_active.cycles(config.sa_active)
             } else {
-                timeline.busy_cycles(kind) as f64
+                unit.busy_cycles as f64
             };
-            let walk = walk_gaps(
-                policy.as_ref(),
-                &timeline.idle_intervals(kind, total_cycles),
-                total_cycles,
-            );
-            equivalent.insert(kind, busy + walk.equivalent_cycles);
+            let walk = unit.idle.walk(policy.as_ref());
+            equivalent.insert(unit.kind, busy + walk.equivalent_cycles);
             overhead_cycles += walk.wake_stall_cycles;
         }
 
@@ -509,7 +576,7 @@ impl Evaluator {
         //     Retention wake-ups are not charged to the critical path:
         //     the drowsy wake is a few cycles hidden under the access
         //     pipeline, and `setpm on` is issued ahead of the next use.
-        equivalent.insert(ComponentKind::Sram, self.sram_equivalent_cycles(&config.sram, sim));
+        equivalent.insert(ComponentKind::Sram, profile.sram_equivalent_cycles(&config.sram));
 
         // --- Peripheral logic: per-component gating can never touch it,
         //     but a chip-level policy walks the *whole-chip* idle
@@ -519,18 +586,9 @@ impl Evaluator {
         let other_eq = match &config.whole_chip {
             None => total_cycles as f64,
             Some(policy) => {
-                let gaps = timeline.union_idle_intervals(
-                    &[
-                        ComponentKind::Sa,
-                        ComponentKind::Vu,
-                        ComponentKind::Hbm,
-                        ComponentKind::Ici,
-                        ComponentKind::Dma,
-                    ],
-                    total_cycles,
-                );
-                let union_idle: u64 = gaps.iter().map(CycleInterval::len).sum();
-                let walk = walk_gaps(policy.as_ref(), &gaps, total_cycles);
+                let gaps = profile.chip_idle();
+                let union_idle: u64 = gaps.lens.iter().sum();
+                let walk = gaps.walk(policy.as_ref());
                 overhead_cycles += walk.wake_stall_cycles;
                 (total_cycles - union_idle) as f64 + walk.equivalent_cycles
             }
@@ -559,44 +617,8 @@ impl Evaluator {
             idle_static_j,
         );
 
-        let peak_power_w = self.peak_power(model, timings, &energy, total_cycles);
+        let peak_power_w = profile.peak_power(&energy);
         (energy, performance_overhead, peak_power_w)
-    }
-
-    /// Equivalent full-power SRAM cycles of one policy, averaged over the
-    /// scratchpad's segments: each segment is fully powered during its
-    /// live intervals and its dead intervals are walked by the SRAM
-    /// policy. Segments never touched by any buffer share one dead
-    /// interval spanning the whole execution, so their cost is computed
-    /// once and weighted by their count.
-    fn sram_equivalent_cycles(&self, policy: &SramPolicy, sim: &SimulationResult) -> f64 {
-        let segments = sim.segment_timeline();
-        let total_segments = segments.num_segments();
-        let total_cycles = sim.total_cycles();
-        if total_segments == 0 || total_cycles == 0 {
-            return total_cycles as f64;
-        }
-        let walk = match policy {
-            SramPolicy::FullPower => return total_cycles as f64,
-            SramPolicy::Walk(walk) => walk,
-        };
-        // Dead intervals never stall the pipeline (restores are hidden or
-        // scheduled ahead), so only the equivalent cycles matter here.
-        let dead_equivalent = |dead: &[CycleInterval]| -> f64 {
-            walk_gaps(walk.as_ref(), dead, total_cycles).equivalent_cycles
-        };
-        let mut eq_sum = 0.0f64;
-        for band in segments.bands() {
-            let per_segment =
-                band.live_cycles() as f64 + dead_equivalent(&segments.dead_intervals_of(band));
-            eq_sum += per_segment * band.num_segments as f64;
-        }
-        let never_live = (total_segments - segments.ever_live_segments()) as f64;
-        if never_live > 0.0 {
-            eq_sum +=
-                dead_equivalent(&[CycleInterval { start: 0, end: total_cycles }]) * never_live;
-        }
-        eq_sum / total_segments as f64
     }
 
     /// Chip-wide residual-leakage ratio while the chip sits outside its
@@ -618,78 +640,129 @@ impl Evaluator {
             })
             .sum()
     }
+}
 
-    /// Equivalent full-power SA cycles of one operator's *active* period
-    /// under an active-period mode (spatial PE gating; the idle periods
-    /// between active bursts are walked separately on the timeline).
-    fn sa_active_equivalent_cycles(
-        &self,
-        mode: SaActiveMode,
-        op: &npu_compiler::CompiledOp,
-        timing: &OpTiming,
-    ) -> f64 {
-        let active = timing.sa_active_cycles as f64;
-        if active == 0.0 {
-            return 0.0;
-        }
-        let leak = self.gating.leakage.logic_off;
+/// Everything the pricing of one simulated trace needs, extracted once by
+/// [`Evaluator::profile`] so that pricing a kind runs no per-operator
+/// loop and builds no gap list: it only walks the stored gap lengths,
+/// through the same [`npu_power::PowerPolicy::walk_intervals`] calls with
+/// the same inputs in the same order as a walk over the timeline itself.
+struct PricingProfile<'a> {
+    model: PowerModel,
+    /// The `NoPG` breakdown of the trace.
+    baseline: EnergyBreakdown,
+    total_cycles: u64,
+    /// One entry per [`TIMELINE_UNITS`] component, in that order.
+    units: [UnitProfile; 5],
+    sa_active: SaActiveCycles,
+    /// `None` when the trace has no SRAM segments or no cycles.
+    sram: Option<SramProfile>,
+    /// Largest average dynamic power of one operator; `None` when no
+    /// operator takes time.
+    max_op_dynamic_w: Option<f64>,
+    /// Whole-chip idle gaps, extracted on first use by a kind with a
+    /// whole-chip policy.
+    chip_idle: OnceCell<GapLengths>,
+    sim: &'a SimulationResult,
+}
+
+/// Busy cycles and idle gaps of one timeline unit.
+struct UnitProfile {
+    kind: ComponentKind,
+    busy_cycles: u64,
+    idle: GapLengths,
+}
+
+/// Equivalent full-power SA cycles of the trace's *active* periods under
+/// each [`SaActiveMode`] (the idle periods between active bursts are
+/// walked separately on the timeline).
+#[derive(Default)]
+struct SaActiveCycles {
+    full_power: f64,
+    spatial: f64,
+    utilization: f64,
+}
+
+impl SaActiveCycles {
+    fn cycles(&self, mode: SaActiveMode) -> f64 {
         match mode {
-            SaActiveMode::FullPower => {
-                // Component-level gating cannot exploit spatial
-                // underutilization: the whole array burns full static power
-                // while any PE computes.
-                active
-            }
-            SaActiveMode::Spatial => {
-                // PE-level gating: rows/columns holding padded zero
-                // weights are off, and the diagonal wavefront keeps PEs
-                // in W_on outside the input wave.
-                let (m, k, n) = op.op.matmul_dims().unwrap_or((1, 1, 1));
-                let spec = npu_arch::NpuSpec::generation(self.generation);
-                let plan = SaGatingPlan::from_matmul_dims(spec.sa_width, k as usize, n as usize);
-                let tile_m = m.min(spec.sa_width as u64 * 32);
-                let gated_frac = plan.gated_pe_cycle_fraction(tile_m, W_ON_RESIDUAL);
-                active * ((1.0 - gated_frac) + gated_frac * leak)
-            }
-            SaActiveMode::Utilization => active * timing.sa_spatial_utilization,
+            SaActiveMode::FullPower => self.full_power,
+            SaActiveMode::Spatial => self.spatial,
+            SaActiveMode::Utilization => self.utilization,
         }
+    }
+}
+
+/// The scratchpad's segments grouped into bands of identical lifetimes.
+struct SramProfile {
+    bands: Vec<SramBand>,
+    /// Segments never touched by any buffer: one dead interval spanning
+    /// the whole execution each.
+    never_live: usize,
+    total_segments: usize,
+}
+
+struct SramBand {
+    live_cycles: u64,
+    num_segments: usize,
+    dead: GapLengths,
+}
+
+impl PricingProfile<'_> {
+    /// Whole-chip idle gaps: every timeline unit quiet at once.
+    fn chip_idle(&self) -> &GapLengths {
+        self.chip_idle.get_or_init(|| {
+            let gaps =
+                self.sim.busy_timeline().union_idle_intervals(&TIMELINE_UNITS, self.total_cycles);
+            GapLengths::of(&gaps, self.total_cycles)
+        })
+    }
+
+    /// Equivalent full-power SRAM cycles of one policy, averaged over the
+    /// scratchpad's segments: each segment is fully powered during its
+    /// live intervals and its dead intervals are walked by the SRAM
+    /// policy. Never-live segments share one whole-execution dead
+    /// interval, so their cost is computed once and weighted by their
+    /// count. Dead intervals never stall the pipeline (restores are
+    /// hidden or scheduled ahead), so only the equivalent cycles matter.
+    fn sram_equivalent_cycles(&self, policy: &SramPolicy) -> f64 {
+        let (Some(sram), SramPolicy::Walk(walk)) = (&self.sram, policy) else {
+            return self.total_cycles as f64;
+        };
+        let mut eq_sum = 0.0f64;
+        for band in &sram.bands {
+            let per_segment =
+                band.live_cycles as f64 + band.dead.walk(walk.as_ref()).equivalent_cycles;
+            eq_sum += per_segment * band.num_segments as f64;
+        }
+        if sram.never_live > 0 {
+            // One gap from cycle 0 to the makespan: trailing.
+            let dead = walk.walk_intervals(&[self.total_cycles], true);
+            eq_sum += dead.equivalent_cycles * sram.never_live as f64;
+        }
+        eq_sum / sram.total_segments as f64
     }
 
     /// Peak per-chip power: the average power of the most power-hungry
     /// operator under the design's static-power scaling.
-    fn peak_power(
-        &self,
-        model: &PowerModel,
-        timings: &[OpTiming],
-        energy: &EnergyBreakdown,
-        total_cycles: u64,
-    ) -> f64 {
-        let spec = model.spec();
+    fn peak_power(&self, energy: &EnergyBreakdown) -> f64 {
+        let spec = self.model.spec();
+        let cap = spec.tdp_watts * 1.2;
         // Static power scales with the design's overall static reduction.
-        let nopg_static_w = model.total_static_power_w();
-        let design_static_w = if total_cycles == 0 {
-            nopg_static_w
+        let design_static_w = if self.total_cycles == 0 {
+            self.model.total_static_power_w()
         } else {
-            energy.static_j() / (total_cycles as f64 * spec.cycle_seconds())
+            energy.static_j() / (self.total_cycles as f64 * spec.cycle_seconds())
         };
-        let mut peak = 0.0f64;
-        for t in timings {
-            let secs = t.duration_seconds(spec.frequency_hz());
-            if secs <= 0.0 {
-                continue;
-            }
-            let dynamic_j = model.sa_energy_per_flop() * t.flops
-                + model.hbm_energy_per_byte() * t.hbm_bytes as f64
-                + model.ici_energy_per_byte() * t.ici_bytes as f64
-                + model.sram_energy_per_byte() * 3.0 * t.hbm_bytes as f64
-                + model.other_dynamic_power_w() * secs;
-            let power = dynamic_j / secs + design_static_w;
-            peak = peak.max(power.min(spec.tdp_watts * 1.2));
-        }
+        // `min(x + static, cap)` is monotone in `x` under round-to-nearest,
+        // so the hungriest operator's dynamic power gives exactly the
+        // largest per-operator capped power.
+        let peak =
+            self.max_op_dynamic_w.map_or(0.0, |dynamic_w| (dynamic_w + design_static_w).min(cap));
         // Operator spans on the global clock include scheduling stalls,
         // which can dilute every per-operator average below the whole-run
         // average; the peak can never physically undercut it.
-        peak.max(energy.average_power_w().min(spec.tdp_watts * 1.2))
+        peak.max(energy.average_power_w().min(cap))
     }
 }
 

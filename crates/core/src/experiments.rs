@@ -13,6 +13,7 @@ use npu_compiler::vliw::{expand_operator, ExpansionLimits};
 use npu_compiler::Compiler;
 use npu_models::{EvalConfig, Workload};
 use npu_power::{CarbonModel, GatingParams, LeakageRatios, LifespanPoint};
+use npu_sim::AnalysisReport;
 
 use crate::designs::Design;
 use crate::evaluate::{Evaluator, WorkloadEvaluation};
@@ -294,20 +295,27 @@ fn sensitivity_row(
     }
 }
 
+/// One generation's Figure 23 row: each design's energy savings, or the
+/// analyzer's denial when no parallelism fits the deployment on that
+/// generation (an older chip's smaller HBM).
+pub type GenerationSavings = Result<Vec<(String, f64)>, AnalysisReport>;
+
 /// Figure 23: energy savings of each design on every NPU generation.
 #[must_use]
 pub fn generation_sweep(
     workload: &Workload,
     num_chips: usize,
-) -> Vec<(NpuGeneration, Vec<(String, f64)>)> {
+) -> Vec<(NpuGeneration, GenerationSavings)> {
     NpuGeneration::ALL
         .iter()
         .map(|&generation| {
-            let eval = Evaluator::new(generation).evaluate(workload, num_chips);
-            let savings = [Design::ReGateBase, Design::ReGateHw, Design::ReGateFull, Design::Ideal]
-                .iter()
-                .map(|&d| (d.label().to_string(), eval.energy_savings(d)))
-                .collect();
+            let savings =
+                Evaluator::new(generation).try_evaluate(workload, num_chips).map(|eval| {
+                    [Design::ReGateBase, Design::ReGateHw, Design::ReGateFull, Design::Ideal]
+                        .iter()
+                        .map(|&d| (d.label().to_string(), eval.energy_savings(d)))
+                        .collect()
+                });
             (generation, savings)
         })
         .collect()
@@ -474,9 +482,23 @@ mod tests {
     fn generation_sweep_covers_all_generations() {
         let rows = generation_sweep(&Workload::dlrm(DlrmSize::Large), 8);
         assert_eq!(rows.len(), 5);
-        for (_gen, savings) in &rows {
-            assert!(savings.iter().all(|(_, s)| *s > 0.0));
+        for (generation, savings) in &rows {
+            let savings = savings.as_ref().expect("DLRM-L fits 8 chips of every generation");
+            assert!(savings.iter().all(|(_, s)| *s > 0.0), "{generation}");
         }
+    }
+
+    #[test]
+    fn generation_sweep_reports_infeasible_generations_instead_of_panicking() {
+        // Llama3-70B decode outgrows the HBM of 8 NPU-A chips: that row
+        // comes back as a denial, NPU-D's as savings.
+        let rows = generation_sweep(&Workload::llm(LlamaModel::Llama3_70B, LlmPhase::Decode), 8);
+        assert_eq!(rows.len(), 5);
+        assert!(rows
+            .iter()
+            .any(|(_, savings)| savings.as_ref().is_err_and(|report| !report.is_schedulable())));
+        let npu_d = rows.iter().find(|(generation, _)| *generation == NpuGeneration::D);
+        assert!(npu_d.is_some_and(|(_, savings)| savings.is_ok()));
     }
 
     #[test]

@@ -158,14 +158,39 @@ impl SaGatingPlan {
     /// power, 10% by default in the evaluation).
     #[must_use]
     pub fn gated_pe_cycle_fraction(&self, m: u64, w_on_residual: f64) -> f64 {
-        let width = self.sa_width as u64;
+        Self::gated_fraction(self.sa_width, self.rows_on(), self.cols_on(), m, w_on_residual)
+    }
+
+    /// [`Self::gated_pe_cycle_fraction`] of the plan
+    /// [`Self::from_matmul_dims`] would build, without building it: the
+    /// OR-suffix of a prefix mask is that prefix, so `min(k, width)` rows
+    /// and `min(n, width)` columns stay on.
+    #[must_use]
+    pub(crate) fn matmul_gated_pe_cycle_fraction(
+        sa_width: usize,
+        k: usize,
+        n: usize,
+        m: u64,
+        w_on_residual: f64,
+    ) -> f64 {
+        Self::gated_fraction(sa_width, k.min(sa_width), n.min(sa_width), m, w_on_residual)
+    }
+
+    fn gated_fraction(
+        sa_width: usize,
+        rows_on: usize,
+        cols_on: usize,
+        m: u64,
+        w_on_residual: f64,
+    ) -> f64 {
+        let width = sa_width as u64;
         let tile_cycles = (m + 2 * width) as f64;
-        let total_pe_cycles = (self.sa_width * self.sa_width) as f64 * tile_cycles;
+        let total_pe_cycles = (sa_width * sa_width) as f64 * tile_cycles;
         // PEs outside the powered region: off for the whole tile.
-        let off_pes = (self.sa_width * self.sa_width - self.rows_on() * self.cols_on()) as f64;
+        let off_pes = (sa_width * sa_width - rows_on * cols_on) as f64;
         let off_cycles = off_pes * tile_cycles;
         // PEs inside the powered region: On for m cycles, W_on otherwise.
-        let on_pes = (self.rows_on() * self.cols_on()) as f64;
+        let on_pes = (rows_on * cols_on) as f64;
         let won_cycles = on_pes * (tile_cycles - m as f64);
         let gated = off_cycles + won_cycles * (1.0 - w_on_residual);
         gated / total_pe_cycles
@@ -341,6 +366,23 @@ mod tests {
         let plan = SaGatingPlan::from_matmul_dims(width, width, width);
         let expected = 1.0 - m as f64 / (m as f64 + 2.0 * width as f64);
         assert!((plan.gated_pe_cycle_fraction(m as u64, 0.0) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn closed_form_matches_the_built_plan_bit_for_bit() {
+        for w in [8usize, 128] {
+            let dims = [0, 1, w - 1, w, w + 1, 4 * w];
+            for k in dims {
+                for n in dims {
+                    let plan = SaGatingPlan::from_matmul_dims(w, k, n);
+                    for m in [1, w as u64, 32 * w as u64] {
+                        let built = plan.gated_pe_cycle_fraction(m, 0.1);
+                        let closed = SaGatingPlan::matmul_gated_pe_cycle_fraction(w, k, n, m, 0.1);
+                        assert_eq!(closed.to_bits(), built.to_bits(), "w={w} k={k} n={n} m={m}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

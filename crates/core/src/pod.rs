@@ -16,7 +16,7 @@ use npu_power::{GatingParams, PowerModel, PowerPolicy};
 use npu_sim::{CycleInterval, Resource, ResourceId, Schedule};
 
 use crate::designs::Design;
-use crate::policy::{walk_gaps, whole_chip_policy, PolicyKind};
+use crate::policy::{whole_chip_policy, GapLengths, PolicyKind};
 
 /// Static-energy accounting of one pod schedule, in watt-cycles (static
 /// watts × cycles; the cycle time cancels out of every ratio).
@@ -93,7 +93,7 @@ pub fn pod_static_gating(
     // walked idle gaps.
     let walked = |policy: &dyn PowerPolicy, id: ResourceId| {
         let gaps = tl.idle_intervals(id, total);
-        tl.busy_cycles(id) as f64 + walk_gaps(policy, &gaps, total).equivalent_cycles
+        tl.busy_cycles(id) as f64 + GapLengths::of(&gaps, total).walk(policy).equivalent_cycles
     };
 
     let mut baseline = 0.0f64;
@@ -134,7 +134,7 @@ pub fn pod_static_gating(
         let bubbles = tl.chip_idle_intervals(&set, chip, total);
         let bubble_cycles: u64 = bubbles.iter().map(CycleInterval::len).sum();
         let chip_eq = (total - bubble_cycles) as f64
-            + walk_gaps(&chip_policy, &bubbles, total).equivalent_cycles;
+            + GapLengths::of(&bubbles, total).walk(&chip_policy).equivalent_cycles;
         add(model.static_power_w(ComponentKind::Other), total as f64, total as f64, chip_eq);
     }
 

@@ -287,17 +287,26 @@ pub(crate) fn whole_chip_policy(gating: &GatingParams) -> IntervalGating {
     IntervalGating::exposing(gating.whole_chip(), 1.0)
 }
 
-/// Walks one component's positioned idle gaps under `policy`: their
-/// lengths in timeline order, the last one trailing when it runs to
-/// `makespan`.
-pub(crate) fn walk_gaps(
-    policy: &dyn PowerPolicy,
-    gaps: &[CycleInterval],
-    makespan: u64,
-) -> PolicyWalk {
-    let lens: Vec<u64> = gaps.iter().map(CycleInterval::len).collect();
-    let trailing = gaps.last().is_some_and(|gap| gap.end >= makespan);
-    policy.walk_intervals(&lens, trailing)
+/// What a policy walk consumes of one component's positioned idle gaps:
+/// their lengths in timeline order, and whether the last one trails (runs
+/// to the makespan, so it wakes nothing up).
+#[derive(Debug)]
+pub(crate) struct GapLengths {
+    pub(crate) lens: Vec<u64>,
+    trailing: bool,
+}
+
+impl GapLengths {
+    pub(crate) fn of(gaps: &[CycleInterval], makespan: u64) -> Self {
+        GapLengths {
+            lens: gaps.iter().map(CycleInterval::len).collect(),
+            trailing: gaps.last().is_some_and(|gap| gap.end >= makespan),
+        }
+    }
+
+    pub(crate) fn walk(&self, policy: &dyn PowerPolicy) -> PolicyWalk {
+        policy.walk_intervals(&self.lens, self.trailing)
+    }
 }
 
 /// How the systolic array's *active* (computing) periods are priced.

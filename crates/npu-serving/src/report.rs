@@ -12,10 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use npu_arch::ComponentKind;
+use npu_arch::{ChipConfig, ComponentKind};
 use npu_power::GatingParams;
 use npu_sim::RunCounters;
-use regate::{Design, Evaluator, WorkloadEvaluation};
+use regate::{Design, Evaluator, PolicyKind};
 use serde::{Deserialize, Serialize};
 
 use crate::simulator::{ServingCacheCounters, ServingOutcome};
@@ -66,34 +66,36 @@ pub struct ServingReport {
     pub engine_counters: RunCounters,
     /// Compile-cache hit/miss counters snapshot when the run finished.
     pub cache_counters: ServingCacheCounters,
-    /// The full per-design evaluation the rows were derived from.
-    pub evaluation: WorkloadEvaluation,
+    /// The chip deployment the trace was scheduled and priced on.
+    pub chip: ChipConfig,
 }
 
 impl ServingReport {
     /// Evaluates a serving outcome across every design point.
     #[must_use]
     pub fn evaluate(outcome: &ServingOutcome, evaluator: &Evaluator) -> Self {
-        let evaluation = evaluator.evaluate_compiled(
-            &outcome.total_workload(),
+        // The design presets priced on the borrowed trace: their rows are
+        // the `evaluate_compiled` design rows bit for bit.
+        let presets = Design::ALL.map(PolicyKind::Preset);
+        let priced = evaluator.evaluate_policies(
             outcome.num_chips,
-            outcome.parallelism,
             &outcome.compiled,
-            outcome.simulation.clone(),
+            &outcome.simulation,
             // The trace holds its own idleness; see the module docs.
             1.0,
+            &presets,
         );
         let num_requests = outcome.requests.len();
         let mut designs = BTreeMap::new();
-        for design in Design::ALL {
-            let total_j = evaluation.design(design).energy.total_j();
+        for (design, row) in Design::ALL.into_iter().zip(&priced.rows) {
+            let total_j = row.energy.total_j();
             designs.insert(
                 design,
                 DesignServingRow {
                     total_j,
                     energy_per_request_j: (num_requests > 0)
                         .then(|| total_j * outcome.num_chips as f64 / num_requests as f64),
-                    savings: evaluation.energy_savings(design),
+                    savings: row.savings,
                 },
             );
         }
@@ -150,7 +152,7 @@ impl ServingReport {
             designs,
             engine_counters: outcome.simulation.counters().clone(),
             cache_counters: outcome.cache,
-            evaluation,
+            chip: outcome.simulation.chip().clone(),
         }
     }
 
@@ -167,7 +169,7 @@ impl ServingReport {
     /// Latency percentiles converted to seconds on the evaluated chip.
     #[must_use]
     pub fn latency_seconds(&self) -> (f64, f64) {
-        let spec = self.evaluation.simulation.chip().spec();
+        let spec = self.chip.spec();
         (
             spec.cycles_to_seconds(self.p50_latency_cycles),
             spec.cycles_to_seconds(self.p99_latency_cycles),

@@ -141,20 +141,6 @@ pub struct ServingOutcome {
 }
 
 impl ServingOutcome {
-    /// Total samples served over the trace.
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.workload.batch() * self.requests.len() as u64
-    }
-
-    /// The workload resized to the whole trace — what
-    /// [`regate::Evaluator::evaluate_compiled`] needs so `work_items`
-    /// describes every request served.
-    #[must_use]
-    pub fn total_workload(&self) -> Workload {
-        self.workload.with_batch(self.total_samples().max(1))
-    }
-
     /// Makespan of the scheduled trace in cycles.
     #[must_use]
     pub fn makespan_cycles(&self) -> u64 {

@@ -6,6 +6,7 @@
 use npu_arch::NpuGeneration;
 use npu_models::{LlamaModel, LlmPhase, Workload};
 use regate::{Design, Evaluator};
+use regate_bench::infeasible;
 
 fn main() {
     let model = LlamaModel::Llama3_70B;
@@ -18,8 +19,13 @@ fn main() {
         );
         for generation in NpuGeneration::DEPLOYED {
             let chips = 8;
-            let evaluator = Evaluator::new(generation);
-            let eval = evaluator.evaluate(&workload, chips);
+            let eval = match Evaluator::new(generation).try_evaluate(&workload, chips) {
+                Ok(eval) => eval,
+                Err(report) => {
+                    println!("{:<8} {:>6} {}", generation.to_string(), chips, infeasible(&report));
+                    continue;
+                }
+            };
             let activity = eval.simulation.activity();
             println!(
                 "{:<8} {:>6} {:>14.4} {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}%",
@@ -33,12 +39,21 @@ fn main() {
             );
         }
         // Per-component saving breakdown on NPU-D.
-        let eval = Evaluator::new(NpuGeneration::D).evaluate(&workload, 8);
-        println!("ReGate-Full savings breakdown on NPU-D:");
-        for (component, saving) in eval.savings_breakdown(Design::ReGateFull) {
-            if saving.abs() > 1e-4 {
-                println!("  {:<6} {:>6.2}% of total energy", component.label(), saving * 100.0);
+        let title = "ReGate-Full savings breakdown on NPU-D:";
+        match Evaluator::new(NpuGeneration::D).try_evaluate(&workload, 8) {
+            Ok(eval) => {
+                println!("{title}");
+                for (component, saving) in eval.savings_breakdown(Design::ReGateFull) {
+                    if saving.abs() > 1e-4 {
+                        println!(
+                            "  {:<6} {:>6.2}% of total energy",
+                            component.label(),
+                            saving * 100.0
+                        );
+                    }
+                }
             }
+            Err(report) => println!("{title} {}", infeasible(&report)),
         }
         println!();
     }

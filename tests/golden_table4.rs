@@ -9,10 +9,22 @@
 //! model during refactors, not to re-validate the paper. If a deliberate
 //! model improvement moves a number, re-record the row and say why in the
 //! commit message.
+//!
+//! The bands guard the headline savings only. The pricing digests at the
+//! end of the file pin *every* pricing output bit for bit (per-component
+//! energy, idle leakage, overhead, peak power and savings of every policy
+//! kind, and the serving report rows) over a small fixed corpus, so a
+//! refactor of the pricing path that claims to change nothing can prove
+//! it.
 
-use npu_arch::NpuGeneration;
+use npu_arch::{ChipConfig, ComponentKind, NpuGeneration};
+use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{DiffusionModel, DlrmSize, LlamaModel, LlmPhase, Workload};
-use regate::{Design, Evaluator};
+use npu_power::{EnergyBreakdown, NPU_DUTY_CYCLE};
+use npu_serving::{ArrivalProcess, BatchPolicy, ServingReport, ServingSimulator};
+use npu_sim::{SimulationResult, Simulator};
+use regate::{Design, Evaluator, PolicyKind};
+use regate_bench::Fnv1a;
 
 /// Absolute tolerance on every recorded fraction (3 percentage points).
 const TOL: f64 = 0.03;
@@ -200,4 +212,135 @@ fn design_points_are_ordered_base_hw_full_ideal() {
         assert!(full <= ideal + 1e-9, "{w}: Full {full} > Ideal {ideal}");
         assert!(eval.energy_savings(Design::NoPg).abs() < 1e-12, "NoPG is the baseline");
     }
+}
+
+/// Folds the IEEE bits of one energy breakdown: every component's static
+/// and total joules, then the out-of-duty-cycle idle leakage.
+fn push_energy(digest: &mut Fnv1a, energy: &EnergyBreakdown) {
+    for kind in ComponentKind::ALL {
+        let component = energy.component(kind);
+        digest.push(component.static_j.to_bits());
+        digest.push(component.total_j().to_bits());
+    }
+    digest.push(energy.idle_static_j.to_bits());
+}
+
+/// Every policy kind the evaluator prices: the five presets, the extended
+/// kinds and whole-chip gating.
+fn every_policy_kind() -> Vec<PolicyKind> {
+    Design::ALL
+        .iter()
+        .map(|&d| PolicyKind::Preset(d))
+        .chain(PolicyKind::EXTENDED)
+        .chain([PolicyKind::WholeChipFull])
+        .collect()
+}
+
+/// Digest of every `evaluate_policies` row over one trace.
+fn policies_digest(
+    evaluator: &Evaluator,
+    num_chips: usize,
+    compiled: &CompiledGraph,
+    simulation: &SimulationResult,
+    duty_cycle: f64,
+) -> u64 {
+    let set = evaluator.evaluate_policies(
+        num_chips,
+        compiled,
+        simulation,
+        duty_cycle,
+        &every_policy_kind(),
+    );
+    let mut digest = Fnv1a::new();
+    digest.push(set.baseline_total_j.to_bits());
+    for row in &set.rows {
+        push_energy(&mut digest, &row.energy);
+        digest.push(row.performance_overhead.to_bits());
+        digest.push(row.peak_power_w.to_bits());
+        digest.push(row.savings.to_bits());
+    }
+    digest.digest()
+}
+
+/// Digests of one Table 4 style deployment on NPU-D: its
+/// `evaluate_compiled` design rows, then its `evaluate_policies` rows.
+fn deployment_digests(workload: Workload, chips: usize) -> (u64, u64) {
+    let evaluator = Evaluator::new(NpuGeneration::D);
+    let chip = ChipConfig::new(NpuGeneration::D, chips);
+    let parallelism =
+        workload.default_parallelism(chip.spec(), chips).expect("corpus deployments fit");
+    let compiled = Compiler::new(chip.spec().clone()).compile(&workload.build_graph(&parallelism));
+    let simulation = Simulator::new(chip).run(&compiled);
+    let policies = policies_digest(&evaluator, chips, &compiled, &simulation, NPU_DUTY_CYCLE);
+    let eval = evaluator.evaluate_compiled(
+        &workload,
+        chips,
+        parallelism,
+        &compiled,
+        simulation,
+        NPU_DUTY_CYCLE,
+    );
+    let mut digest = Fnv1a::new();
+    for design in Design::ALL {
+        let row = eval.design(design);
+        push_energy(&mut digest, &row.energy);
+        digest.push(row.performance_overhead.to_bits());
+        digest.push(row.peak_power_w.to_bits());
+        digest.push(eval.energy_savings(design).to_bits());
+    }
+    (digest.digest(), policies)
+}
+
+/// Digests of one 16-request DLRM-S serving trace on one NPU-D chip: its
+/// `ServingReport` rows, then its `evaluate_policies` rows.
+fn serving_digests(policy: &BatchPolicy) -> (u64, u64) {
+    let evaluator = Evaluator::new(NpuGeneration::D);
+    let simulator =
+        ServingSimulator::new(NpuGeneration::D, 1, Workload::dlrm(DlrmSize::Small).with_batch(32));
+    let arrivals =
+        ArrivalProcess::Poisson { mean_interval_cycles: 200_000.0, seed: 7 }.arrivals(16);
+    let outcome = simulator.run(&arrivals, policy);
+    let report = ServingReport::evaluate(&outcome, &evaluator);
+    let mut digest = Fnv1a::new();
+    for design in Design::ALL {
+        let row = report.design(design);
+        digest.push(row.total_j.to_bits());
+        digest.push(row.energy_per_request_j.map_or(u64::MAX, f64::to_bits));
+        digest.push(row.savings.to_bits());
+    }
+    digest.push(report.whole_chip_idle_fraction.to_bits());
+    let policies = policies_digest(&evaluator, 1, &outcome.compiled, &outcome.simulation, 1.0);
+    (digest.digest(), policies)
+}
+
+#[test]
+fn pricing_outputs_match_recorded_digests_bit_for_bit() {
+    // Recorded before the per-trace pricing profile replaced the per-kind
+    // timeline walks; any reassociation of a pricing sum moves a digest.
+    // (label, design-row or report digest, policy-row digest)
+    let recorded: [(&str, u64, u64); 6] = [
+        ("Llama3-8B Prefill x1", 0x313e_1be9_ae5b_1cf2, 0x1359_650c_0d45_3870),
+        ("Llama3-8B Decode x1", 0xd72b_85ee_836e_30b4, 0xee49_2e40_0345_14fa),
+        ("Llama3-8B Training x4", 0xe4fc_db44_a9aa_7fd8, 0x1576_737e_63aa_e1e2),
+        ("DLRM-S x8", 0x5a3b_566c_5ece_4512, 0x8fac_b61c_d24d_268c),
+        ("DLRM-S serving, static batch", 0x6dd0_6ba1_9799_9b12, 0xcb11_aa7a_e532_a825),
+        ("DLRM-S serving, dynamic window", 0xdceb_fe3c_2d4a_168c, 0x4dc2_b763_18bc_04ef),
+    ];
+    let measured = [
+        deployment_digests(Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Prefill), 1),
+        deployment_digests(Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode), 1),
+        deployment_digests(Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Training), 4),
+        deployment_digests(Workload::dlrm(DlrmSize::Small), 8),
+        serving_digests(&BatchPolicy::Static { batch: 4 }),
+        serving_digests(&BatchPolicy::DynamicWindow { max_batch: 4, max_wait_cycles: 300_000 }),
+    ];
+    let drifted: Vec<String> = recorded
+        .iter()
+        .zip(measured)
+        .filter(|((_, rows, policies), got)| (*rows, *policies) != *got)
+        .map(|((label, ..), (rows, policies))| {
+            format!("{label}: rows {rows:#018x}, policies {policies:#018x}")
+        })
+        .collect();
+    assert!(drifted.is_empty(), "pricing digests drifted:\n{}", drifted.join("\n"));
 }
