@@ -476,8 +476,9 @@ impl Evaluator {
         let max_op_dynamic_w = sim
             .timings()
             .iter()
-            .filter_map(|t| {
-                let secs = t.duration_seconds(spec.frequency_hz());
+            .zip(sim.schedule())
+            .filter_map(|(t, s)| {
+                let secs = s.span_cycles() as f64 / spec.frequency_hz();
                 (secs > 0.0).then(|| {
                     let dynamic_j = model.sa_energy_per_flop() * t.flops
                         + model.hbm_energy_per_byte() * t.hbm_bytes as f64

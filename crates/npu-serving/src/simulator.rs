@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig};
 use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{OperatorGraph, Workload};
-use npu_sim::analysis::{self, rules, AnalysisReport, Diagnostic, OpSpan};
+use npu_sim::analysis::{self, rules, AnalysisReport, Diagnostic, OpSpan, Severity};
 use npu_sim::{EngineScratch, PreparedSimulator, SimulationResult, Simulator, TraceRecorder};
 use serde::{Deserialize, Serialize};
 
@@ -309,8 +309,11 @@ impl ServingOutcome {
 #[derive(Debug)]
 struct PreparedTrace {
     compiled: Arc<CompiledGraph>,
+    /// [`analysis::check_compiled_graph`] of `compiled`, computed once:
+    /// the graph never changes, so neither does its verdict.
+    graph_verdict: Vec<Diagnostic>,
     prepared: PreparedSimulator,
-    /// Anchor position (timings index) of each op id.
+    /// Anchor position (schedule index) of each op id.
     positions: Vec<usize>,
     /// Op-id range of each batch's subgraph in the combined graph.
     op_ranges: Vec<std::ops::Range<usize>>,
@@ -585,9 +588,9 @@ impl ServingSimulator {
     /// `concatenating_compiled_subgraphs_matches_compiling_the_concatenation`
     /// test) and prepared for release-vector replay.
     fn prepared_trace(&self, shape: &[usize], num_requests: usize) -> Arc<PreparedTrace> {
-        if let Some(trace) = self.trace_cache.lock().expect("trace cache").get(shape) {
+        if let Some(trace) = self.cached_trace(shape) {
             self.cache_counters.trace_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(trace);
+            return trace;
         }
         self.cache_counters.trace_misses.fetch_add(1, Ordering::Relaxed);
         let mut combined = CompiledGraph::empty(format!(
@@ -603,6 +606,7 @@ impl ServingSimulator {
         let prepared = Simulator::new(self.chip.clone()).prepare(&combined);
         let positions = combined.anchor_positions();
         let trace = Arc::new(PreparedTrace {
+            graph_verdict: analysis::check_compiled_graph(&combined),
             compiled: Arc::new(combined),
             prepared,
             positions,
@@ -613,20 +617,45 @@ impl ServingSimulator {
         )
     }
 
+    /// The prepared trace of one batch-size sequence if it is cached;
+    /// counts nothing.
+    fn cached_trace(&self, shape: &[usize]) -> Option<Arc<PreparedTrace>> {
+        self.trace_cache.lock().expect("trace cache").get(shape).cloned()
+    }
+
     /// The full static verdict on one serving outcome: the outcome's own
     /// record checks ([`ServingOutcome::analyze`]) plus the phase-level
     /// analyzer on the prepared trace — which brackets the *measured*
     /// makespan inside the static `[critical path, serial sum]` window
     /// and audits the SRAM allocation — without re-running the schedule.
-    /// Cached trace preparations make this cheap in a sweep.
+    ///
+    /// Cached trace preparations make this cheap in a sweep: an outcome
+    /// whose graph *is* the cached trace's (every [`ServingSimulator::run`]
+    /// and [`ServingSimulator::run_traced`] outcome) reuses the graph
+    /// verdict stored with the trace, and any other outcome has its graph
+    /// checked afresh; the report is the same either way. Record checks
+    /// run first, so an outcome with corrupted records never reaches the
+    /// trace cache, and verifying a cached shape changes no cache counter.
     #[must_use]
     pub fn verify(&self, outcome: &ServingOutcome) -> AnalysisReport {
-        let mut report = outcome.analyze();
+        let records = outcome.trace_diagnostics();
         let shape: Vec<usize> = outcome.batches.iter().map(|b| b.requests.len()).collect();
+        let records_clean = records.iter().all(|d| d.severity != Severity::Deny);
+        let cached =
+            (records_clean && !shape.is_empty()).then(|| self.cached_trace(&shape)).flatten();
+        let graph = match &cached {
+            Some(trace) if Arc::ptr_eq(&outcome.compiled, &trace.compiled) => {
+                trace.graph_verdict.clone()
+            }
+            _ => analysis::check_compiled_graph(&outcome.compiled),
+        };
+        let mut report = AnalysisReport::new();
+        report.extend(graph);
+        report.extend(records);
         if shape.is_empty() || !report.is_schedulable() {
             return report;
         }
-        let trace = self.prepared_trace(&shape, outcome.requests.len());
+        let trace = cached.unwrap_or_else(|| self.prepared_trace(&shape, outcome.requests.len()));
         let mut op_releases: Vec<u64> = Vec::with_capacity(trace.positions.len());
         for (batch, range) in outcome.batches.iter().zip(&trace.op_ranges) {
             op_releases.resize(range.end, batch.dispatch_cycle);
@@ -648,15 +677,12 @@ impl ServingSimulator {
         // Batch completion: the latest finish among the anchors executing
         // the batch's operators (its merge fans in over every sink, so in
         // practice this is the merge's finish).
-        let timings = simulation.timings();
+        let schedule = simulation.schedule();
         for record in &mut batches {
             record.completion_cycle = record
                 .ops
                 .clone()
-                .map(|id| {
-                    let t = &timings[positions[id]];
-                    t.start_cycle + t.duration_cycles
-                })
+                .map(|id| schedule[positions[id]].finish)
                 .max()
                 .expect("a batch subgraph is never empty");
         }
@@ -691,17 +717,53 @@ mod tests {
     use super::*;
     use crate::batch::BatchPolicy;
     use npu_models::{DlrmSize, Workload};
-    use npu_sim::Severity;
+
+    const ARRIVALS: [u64; 5] = [0, 1_000, 350_000, 360_000, 900_000];
+    const POLICY: BatchPolicy = BatchPolicy::Static { batch: 2 };
+
+    fn dlrm_simulator() -> ServingSimulator {
+        ServingSimulator::new(NpuGeneration::D, 1, Workload::dlrm(DlrmSize::Small).with_batch(8))
+    }
 
     fn outcome_and_simulator() -> (ServingSimulator, ServingOutcome) {
-        let simulator = ServingSimulator::new(
-            NpuGeneration::D,
-            1,
-            Workload::dlrm(DlrmSize::Small).with_batch(8),
-        );
-        let arrivals = [0u64, 1_000, 350_000, 360_000, 900_000];
-        let outcome = simulator.run(&arrivals, &BatchPolicy::Static { batch: 2 });
+        let simulator = dlrm_simulator();
+        let outcome = simulator.run(&ARRIVALS, &POLICY);
         (simulator, outcome)
+    }
+
+    /// Corrupted-record fixtures: each edit of a clean outcome and the
+    /// rules it must trip.
+    type Corruption = (fn(&mut ServingOutcome), &'static [&'static str]);
+
+    fn corruptions() -> [Corruption; 3] {
+        [
+            // Batch dispatch regression + a request dispatched before
+            // arrival.
+            (
+                |outcome| {
+                    let last = outcome.batches.len() - 1;
+                    outcome.batches[last].dispatch_cycle = 0;
+                    outcome.requests[0].dispatch_cycle = 0;
+                    outcome.requests[0].arrival_cycle = 10;
+                },
+                &[rules::SERVE_RELEASE_REGRESSION, rules::SERVE_DISPATCH_BEFORE_ARRIVAL],
+            ),
+            // A batch that completes before it dispatches and ops that no
+            // longer tile the combined graph.
+            (
+                |outcome| {
+                    outcome.batches[0].completion_cycle = 0;
+                    outcome.batches[0].dispatch_cycle = 99;
+                    outcome.batches[0].ops.end -= 1;
+                },
+                &[rules::SERVE_COMPLETION_BEFORE_DISPATCH, rules::SERVE_SPAN_OUT_OF_RANGE],
+            ),
+            // A request claiming a batch that does not carry it.
+            (
+                |outcome| outcome.requests[0].batch = outcome.batches.len() - 1,
+                &[rules::SERVE_BATCH_NOT_CONSERVED],
+            ),
+        ]
     }
 
     #[test]
@@ -745,8 +807,7 @@ mod tests {
         assert_eq!(outcome.cache.trace_misses, 1);
         assert_eq!(outcome.cache.trace_hits, 0);
 
-        let arrivals = [0u64, 1_000, 350_000, 360_000, 900_000];
-        let (traced, recorder) = simulator.run_traced(&arrivals, &BatchPolicy::Static { batch: 2 });
+        let (traced, recorder) = simulator.run_traced(&ARRIVALS, &POLICY);
         // The same shape again: a pure prepared-trace hit.
         assert_eq!(traced.cache.trace_hits, 1);
         assert_eq!(traced.cache.trace_misses, 1);
@@ -765,32 +826,60 @@ mod tests {
 
     #[test]
     fn corrupted_serving_records_are_denied() {
-        let (_, mut outcome) = outcome_and_simulator();
+        for (corrupt, denied) in corruptions() {
+            let (_, mut outcome) = outcome_and_simulator();
+            corrupt(&mut outcome);
+            let report = outcome.analyze();
+            for rule in denied {
+                assert!(report.denials().any(|d| d.rule_id == *rule), "{rule} not denied");
+            }
+        }
+    }
 
-        // Batch dispatch regression + a request dispatched before arrival.
-        let last = outcome.batches.len() - 1;
-        outcome.batches[last].dispatch_cycle = 0;
-        outcome.requests[0].dispatch_cycle = 0;
-        outcome.requests[0].arrival_cycle = 10;
-        let report = outcome.analyze();
-        assert!(report.denials().any(|d| d.rule_id == rules::SERVE_RELEASE_REGRESSION));
-        assert!(report.denials().any(|d| d.rule_id == rules::SERVE_DISPATCH_BEFORE_ARRIVAL));
+    #[test]
+    fn verifying_a_cached_shape_changes_no_cache_counter() {
+        // Regression: `verify` used to look the trace up through the
+        // counted path, so every verification of a cached shape counted
+        // as a trace-cache hit.
+        let (simulator, outcome) = outcome_and_simulator();
+        let after_run = simulator.cache_counters();
+        for _ in 0..2 {
+            assert!(simulator.verify(&outcome).is_schedulable());
+        }
+        assert_eq!(simulator.cache_counters(), after_run);
+        // Neither does a fresh-compile outcome of the cached shape.
+        let uncached = simulator.run_uncached(&ARRIVALS, &POLICY);
+        assert!(simulator.verify(&uncached).is_schedulable());
+        assert_eq!(simulator.cache_counters(), after_run);
+    }
 
-        // A batch that completes before it dispatches and ops that no
-        // longer tile the combined graph.
-        let (_, mut outcome) = outcome_and_simulator();
-        outcome.batches[0].completion_cycle = 0;
-        outcome.batches[0].dispatch_cycle = 99;
-        outcome.batches[0].ops.end -= 1;
-        let report = outcome.analyze();
-        assert!(report.denials().any(|d| d.rule_id == rules::SERVE_COMPLETION_BEFORE_DISPATCH));
-        assert!(report.denials().any(|d| d.rule_id == rules::SERVE_SPAN_OUT_OF_RANGE));
+    #[test]
+    fn stored_and_recomputed_graph_verdicts_verify_alike() {
+        // A `run` outcome shares the cached trace's graph, so `verify`
+        // reuses the verdict stored with the trace; a `run_uncached`
+        // outcome of the same arrivals has its own graph, so `verify`
+        // checks it afresh. Both must produce the same report, clean or
+        // corrupted.
+        let (simulator, outcome) = outcome_and_simulator();
+        let uncached = simulator.run_uncached(&ARRIVALS, &POLICY);
+        assert!(!Arc::ptr_eq(&outcome.compiled, &uncached.compiled));
+        let clean = simulator.verify(&outcome);
+        assert!(clean.makespan_window.is_some(), "{}", clean.render());
+        assert_eq!(clean, simulator.verify(&uncached));
 
-        // A request claiming a batch that does not carry it.
-        let (_, mut outcome) = outcome_and_simulator();
-        outcome.requests[0].batch = outcome.batches.len() - 1;
-        let report = outcome.analyze();
-        assert!(report.denials().any(|d| d.rule_id == rules::SERVE_BATCH_NOT_CONSERVED));
-        assert!(report.denials().all(|d| d.severity == Severity::Deny));
+        // Corrupted records are denied before the trace cache is reached:
+        // a simulator that never served the shape stays cold.
+        let cold = dlrm_simulator();
+        for (corrupt, _) in corruptions() {
+            let (mut cached, mut fresh) = (outcome.clone(), uncached.clone());
+            corrupt(&mut cached);
+            corrupt(&mut fresh);
+            let report = simulator.verify(&cached);
+            assert!(!report.is_schedulable(), "{}", report.render());
+            assert_eq!(report, simulator.verify(&fresh));
+            assert_eq!(report, cold.verify(&cached));
+            assert_eq!(report, cached.analyze());
+        }
+        assert_eq!(cold.cache_counters(), ServingCacheCounters::default());
     }
 }

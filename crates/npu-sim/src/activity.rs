@@ -7,7 +7,6 @@ use serde::{Deserialize, Serialize};
 use npu_arch::ComponentKind;
 
 use crate::timeline::BusyTimeline;
-use crate::timing::OpTiming;
 
 /// Busy-cycle totals per component kind plus the overall execution length.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -34,33 +33,6 @@ impl ComponentActivity {
             busy.insert(kind, timeline.busy_cycles(kind).min(total_cycles));
         }
         ComponentActivity { busy_cycles: busy, sa_weighted_spatial, total_cycles }
-    }
-
-    /// Builds the aggregate from per-operator timings, treating the
-    /// operators as executing serially (the pre-timeline view; retained
-    /// for per-operator analyses and tests).
-    #[must_use]
-    pub fn from_timings(timings: &[OpTiming]) -> Self {
-        let mut busy: BTreeMap<ComponentKind, u64> = BTreeMap::new();
-        let mut total = 0u64;
-        let mut spatial = 0.0f64;
-        for t in timings {
-            total += t.duration_cycles;
-            *busy.entry(ComponentKind::Sa).or_default() += t.sa_active_cycles;
-            *busy.entry(ComponentKind::Vu).or_default() += t.vu_active_cycles;
-            *busy.entry(ComponentKind::Hbm).or_default() += t.hbm_active_cycles;
-            *busy.entry(ComponentKind::Ici).or_default() += t.ici_active_cycles;
-            // The DMA engine moves both HBM and ICI traffic, but it cannot
-            // be busy for longer than the operator runs: when the two
-            // transfers overlap, the engine is simply busy on both at once.
-            *busy.entry(ComponentKind::Dma).or_default() +=
-                (t.hbm_active_cycles + t.ici_active_cycles).min(t.duration_cycles);
-            // The SRAM and peripheral logic are active whenever the chip is.
-            *busy.entry(ComponentKind::Sram).or_default() += t.duration_cycles;
-            *busy.entry(ComponentKind::Other).or_default() += t.duration_cycles;
-            spatial += t.sa_spatial_utilization * t.sa_active_cycles as f64;
-        }
-        ComponentActivity { busy_cycles: busy, sa_weighted_spatial: spatial, total_cycles: total }
     }
 
     /// Total execution length in cycles.
@@ -126,70 +98,13 @@ impl ComponentActivity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use npu_models::ExecutionUnit;
-
-    fn timing(duration: u64, sa: u64, vu: u64, hbm: u64, ici: u64) -> OpTiming {
-        OpTiming {
-            op_index: 0,
-            name: "t".into(),
-            unit: ExecutionUnit::Sa,
-            start_cycle: 0,
-            compute_start_cycle: 0,
-            duration_cycles: duration,
-            serial_duration_cycles: duration,
-            sa_active_cycles: sa,
-            sa_spatial_utilization: 0.5,
-            vu_active_cycles: vu,
-            hbm_active_cycles: hbm,
-            ici_active_cycles: ici,
-            hbm_bytes: 0,
-            ici_bytes: 0,
-            flops: 0.0,
-            sram_live_bytes: 0,
-            sram_demand_bytes: 0,
-        }
-    }
-
-    #[test]
-    fn aggregation_sums_busy_cycles() {
-        let a = ComponentActivity::from_timings(&[
-            timing(100, 80, 10, 20, 0),
-            timing(100, 0, 50, 100, 0),
-        ]);
-        assert_eq!(a.total_cycles(), 200);
-        assert_eq!(a.busy_cycles(ComponentKind::Sa), 80);
-        assert_eq!(a.busy_cycles(ComponentKind::Vu), 60);
-        assert_eq!(a.busy_cycles(ComponentKind::Hbm), 120);
-        assert_eq!(a.busy_cycles(ComponentKind::Dma), 120);
-        assert_eq!(a.busy_cycles(ComponentKind::Sram), 200);
-        assert_eq!(a.idle_cycles(ComponentKind::Sa), 120);
-        assert!((a.temporal_utilization(ComponentKind::Sa) - 0.4).abs() < 1e-12);
-        assert!((a.sa_spatial_utilization() - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn empty_activity() {
-        let a = ComponentActivity::from_timings(&[]);
+        let a = ComponentActivity::from_timeline(&BusyTimeline::default(), 0, 0.0);
         assert_eq!(a.total_cycles(), 0);
         assert_eq!(a.temporal_utilization(ComponentKind::Vu), 0.0);
         assert_eq!(a.sa_spatial_utilization(), 0.0);
-    }
-
-    #[test]
-    fn per_op_dma_busy_is_clamped_to_the_duration() {
-        // HBM and ICI transfers overlapping inside one operator must not
-        // credit the DMA engine with more busy cycles than the operator
-        // runs for — the idle count (and the energy model downstream) would
-        // otherwise see a negative idle time hidden by saturating math.
-        let a = ComponentActivity::from_timings(&[timing(100, 0, 0, 90, 90)]);
-        assert_eq!(a.busy_cycles(ComponentKind::Dma), 100);
-        assert_eq!(a.idle_cycles(ComponentKind::Dma), 0);
-        assert!(a.temporal_utilization(ComponentKind::Dma) <= 1.0);
-        // Across several such operators the invariant holds per operator.
-        let b =
-            ComponentActivity::from_timings(&[timing(100, 0, 0, 90, 90), timing(50, 0, 0, 10, 20)]);
-        assert_eq!(b.busy_cycles(ComponentKind::Dma), 130);
-        assert!(b.busy_cycles(ComponentKind::Dma) <= b.total_cycles());
     }
 
     #[test]

@@ -560,14 +560,31 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
     // Readiness: Kahn's algorithm over the producer relation. An edge
     // whose producer is out of range (or the operator itself) never
     // drains, so operators behind dangling producers and operators on
-    // cycles are exactly the leftovers.
+    // cycles are exactly the leftovers — a set no pop order changes.
+    // Consumer lists are flattened into CSR ranges (count per producer,
+    // prefix sum, fill in consumer order), so the pass allocates a fixed
+    // handful of vectors however large the graph.
+    let drains = |id: usize, p: usize| p < n && p != id;
     let mut indegree = vec![0usize; n];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut consumer_starts = vec![0usize; n + 1];
     for (id, degree) in indegree.iter_mut().enumerate() {
         for &p in graph.producers_of(id) {
             *degree += 1;
-            if p < n && p != id {
-                consumers[p].push(id);
+            if drains(id, p) {
+                consumer_starts[p + 1] += 1;
+            }
+        }
+    }
+    for i in 0..n {
+        consumer_starts[i + 1] += consumer_starts[i];
+    }
+    let mut cursor = consumer_starts.clone();
+    let mut consumers = vec![0usize; consumer_starts[n]];
+    for id in 0..n {
+        for &p in graph.producers_of(id) {
+            if drains(id, p) {
+                consumers[cursor[p]] = id;
+                cursor[p] += 1;
             }
         }
     }
@@ -575,7 +592,7 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
     let mut ordered = 0usize;
     while let Some(id) = ready.pop() {
         ordered += 1;
-        for &c in &consumers[id] {
+        for &c in &consumers[consumer_starts[id]..consumer_starts[id + 1]] {
             indegree[c] -= 1;
             if indegree[c] == 0 {
                 ready.push(c);

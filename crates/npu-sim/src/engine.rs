@@ -15,6 +15,8 @@
 //! `max(compute, stream)` — the same intra-operator double-buffering
 //! idealization the serial cost model makes.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use npu_arch::{ChipConfig, ComponentKind, PodTopology};
@@ -26,7 +28,7 @@ use crate::observer::{NullObserver, SimObserver};
 use crate::segments::SegmentTimeline;
 use crate::timeline::{
     BusyTimeline, EngineScratch, IdleHistogram, OpPhases, Resource, ResourceSet, RunCounters,
-    TimelineEngine,
+    ScheduledOp, TimelineEngine,
 };
 use crate::timing::OpTiming;
 
@@ -84,8 +86,9 @@ impl Simulator {
         &self.chip
     }
 
-    /// Runs a compiled graph and returns the per-operator timings, the
-    /// merged per-component busy timeline, and the aggregated activity.
+    /// Runs a compiled graph and returns the per-anchor records and
+    /// schedule, the merged per-component busy timeline, and the
+    /// aggregated activity.
     /// Every operator is ready at cycle 0 (the single-batch view);
     /// see [`Simulator::run_with_releases`] for arrival-driven serving.
     #[must_use]
@@ -122,10 +125,11 @@ impl Simulator {
     /// Profiles, allocates, and builds the timeline engine for a compiled
     /// graph **once**, returning a [`PreparedSimulator`] that can replay
     /// the graph against many release vectors. Per replay only the event
-    /// loop, the span-to-clock segment mapping, and the timing fill-in run
-    /// — the per-anchor profiling, SRAM allocation sweep, and dependency
-    /// flattening are all paid here. This is the compile-once/run-many
-    /// path the serving layer's graph cache builds on.
+    /// loop, the span-to-clock segment mapping, and the busy-timeline
+    /// finalization run — the per-anchor profiling, SRAM allocation
+    /// sweep, dependency flattening, and the shared per-anchor records
+    /// are all paid here. This is the compile-once/run-many path the
+    /// serving layer's graph cache builds on.
     #[must_use]
     pub fn prepare(&self, graph: &CompiledGraph) -> PreparedSimulator {
         let spec = self.chip.spec();
@@ -140,6 +144,7 @@ impl Simulator {
         let mut phases = Vec::with_capacity(num_anchors);
         let mut timings = Vec::with_capacity(num_anchors);
         let mut anchor_ids = Vec::with_capacity(num_anchors);
+        let mut sa_weighted_spatial = 0.0f64;
         for (anchor_index, op) in graph.anchors().enumerate() {
             let mut profile = self.profile_operator(op);
             profile.timing.op_index = anchor_index;
@@ -154,6 +159,8 @@ impl Simulator {
                 spec.sram_bytes()
             );
             profile.phases.producers = anchor_producers[anchor_index].clone();
+            sa_weighted_spatial +=
+                profile.timing.sa_spatial_utilization * profile.timing.sa_active_cycles as f64;
             anchor_ids.push(op.op.id);
             phases.push(profile.phases);
             timings.push(profile.timing);
@@ -163,8 +170,9 @@ impl Simulator {
         PreparedSimulator {
             chip: self.chip.clone(),
             engine: TimelineEngine::new(phases),
-            timings,
-            anchor_producers,
+            timings: timings.into(),
+            anchor_producers: anchor_producers.into(),
+            sa_weighted_spatial,
             fold_anchor,
             anchor_ids,
             lifetimes: allocation.segment_lifetimes(),
@@ -299,9 +307,6 @@ impl Simulator {
             op_index: 0,
             name: op.op.name.clone(),
             unit: op.unit,
-            start_cycle: 0,
-            compute_start_cycle: 0,
-            duration_cycles: serial,
             serial_duration_cycles: serial,
             sa_active_cycles: sa_active.min(serial),
             sa_spatial_utilization: sa_spatial,
@@ -321,20 +326,30 @@ impl Simulator {
 /// A compiled graph profiled, allocated, and dependency-flattened for
 /// repeated simulation — see [`Simulator::prepare`].
 ///
-/// All release-independent work lives here: per-anchor phase durations and
-/// timing templates, the SRAM allocation's live-bytes profile and segment
-/// lifetimes, and the timeline engine's CSR topology. Replaying against a
-/// new release vector ([`PreparedSimulator::run_with_scratch`]) pays only
-/// the event loop and the clock mapping, which is what makes a serving
-/// sweep over repeated batch shapes cheap.
+/// All release-independent work lives here: per-anchor phase durations,
+/// the SRAM allocation's live-bytes profile and segment lifetimes, the
+/// timeline engine's CSR topology, and the per-anchor records every
+/// result shares — the [`OpTiming`]s, the producer lists and the SA
+/// spatial weight — built once behind `Arc`s. Replaying against a new
+/// release vector ([`PreparedSimulator::run_with_scratch`]) pays only the
+/// event loop, the clock mapping and the busy-timeline finalization, and
+/// the result it returns holds new allocations only for what the release
+/// vector changes: the schedule, the busy timeline and the segment
+/// intervals. That is what makes a serving sweep over repeated batch
+/// shapes cheap.
 #[derive(Debug)]
 pub struct PreparedSimulator {
     chip: ChipConfig,
     engine: TimelineEngine,
-    /// Timing templates: everything but the schedule-dependent
-    /// start/duration fields, filled per replay.
-    timings: Vec<OpTiming>,
-    anchor_producers: Vec<Vec<usize>>,
+    /// Per-anchor records, shared with every result (see
+    /// [`SimulationResult::timings`]).
+    timings: Arc<[OpTiming]>,
+    /// `anchor_producers[k]`: anchor indices anchor `k` waits on, shared
+    /// with every result.
+    anchor_producers: Arc<[Vec<usize>]>,
+    /// Σ spatial utilization × SA-active cycles, summed in anchor order —
+    /// the activity's SA spatial weight, which no release changes.
+    sa_weighted_spatial: f64,
     /// Op id → op id of its fusion-group anchor (identity when unfused).
     fold_anchor: Vec<usize>,
     /// Anchor index → op id.
@@ -475,14 +490,6 @@ impl PreparedSimulator {
         let releases = self.anchor_releases(op_releases);
 
         let schedule = self.engine.run_with_scratch_observed(&releases, scratch, obs);
-        let mut timings = self.timings.clone();
-        let mut sa_weighted_spatial = 0.0f64;
-        for (timing, scheduled) in timings.iter_mut().zip(schedule.ops.iter()) {
-            timing.start_cycle = scheduled.span_start();
-            timing.compute_start_cycle = scheduled.main_start;
-            timing.duration_cycles = scheduled.span_cycles();
-            sa_weighted_spatial += timing.sa_spatial_utilization * timing.sa_active_cycles as f64;
-        }
         // Per-segment SRAM liveness on the global clock: the allocator's
         // anchor-granularity lifetimes mapped through the scheduled spans.
         // The SRAM's busy track is the union of live segment intervals —
@@ -501,12 +508,16 @@ impl PreparedSimulator {
             timeline.record(ComponentKind::Sram, iv.start, iv.end);
         }
         timeline.finalize();
-        let activity =
-            ComponentActivity::from_timeline(&timeline, schedule.makespan, sa_weighted_spatial);
+        let activity = ComponentActivity::from_timeline(
+            &timeline,
+            schedule.makespan,
+            self.sa_weighted_spatial,
+        );
         SimulationResult {
             chip: self.chip.clone(),
-            timings,
-            anchor_producers: self.anchor_producers.clone(),
+            timings: Arc::clone(&self.timings),
+            anchor_producers: Arc::clone(&self.anchor_producers),
+            schedule: schedule.ops,
             releases,
             activity,
             timeline,
@@ -518,12 +529,21 @@ impl PreparedSimulator {
 }
 
 /// Result of simulating one compiled graph on one chip.
+///
+/// Per-anchor data comes in two halves indexed alike: the
+/// release-independent [`SimulationResult::timings`], shared with the
+/// [`PreparedSimulator`] that produced the result and with every other
+/// replay of it, and the [`SimulationResult::schedule`] this run
+/// produced.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationResult {
     chip: ChipConfig,
-    timings: Vec<OpTiming>,
+    /// Shared per-anchor records (never copied per replay).
+    timings: Arc<[OpTiming]>,
     /// `anchor_producers[k]`: anchor indices operator `k` waited on.
-    anchor_producers: Vec<Vec<usize>>,
+    anchor_producers: Arc<[Vec<usize>]>,
+    /// `schedule[k]`: when anchor `k`'s phases ran on the global clock.
+    schedule: Vec<ScheduledOp>,
     /// `releases[k]`: earliest cycle anchor `k` was allowed to issue (all
     /// zeros for a cycle-0 batch run).
     releases: Vec<u64>,
@@ -543,10 +563,24 @@ impl SimulationResult {
         &self.chip
     }
 
-    /// Per-operator timings in execution order.
+    /// Per-anchor records in anchor order: unit, work, serial cost and
+    /// SRAM bytes — everything about an operator that no release vector
+    /// changes. Every replay of one [`PreparedSimulator`] returns the same
+    /// shared slice; when each operator ran is in
+    /// [`SimulationResult::schedule`] at the same index.
     #[must_use]
     pub fn timings(&self) -> &[OpTiming] {
         &self.timings
+    }
+
+    /// Per-anchor phase times of this run in anchor order, indexed like
+    /// [`SimulationResult::timings`]: [`ScheduledOp::span_start`] is the
+    /// first cycle any phase (prefetch included) occupies hardware,
+    /// `main_start` the compute dispatch, [`ScheduledOp::span_cycles`]
+    /// the occupancy span and `finish` its end.
+    #[must_use]
+    pub fn schedule(&self) -> &[ScheduledOp] {
+        &self.schedule
     }
 
     /// The last-issued timing whose operator name starts with `prefix`,
@@ -642,13 +676,14 @@ impl SimulationResult {
         }
     }
 
-    /// Per-operator `(SRAM demand in MiB, duration in cycles)` pairs — the
+    /// Per-operator `(SRAM demand in MiB, span in cycles)` pairs — the
     /// input to the Figure 7 CDF, which weights demand by execution time.
     #[must_use]
     pub fn sram_demand_profile(&self) -> Vec<(f64, u64)> {
         self.timings
             .iter()
-            .map(|t| (t.sram_demand_bytes as f64 / (1024.0 * 1024.0), t.duration_cycles))
+            .zip(&self.schedule)
+            .map(|(t, s)| (t.sram_demand_bytes as f64 / (1024.0 * 1024.0), s.span_cycles()))
             .collect()
     }
 
@@ -829,11 +864,12 @@ mod tests {
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         let result = Simulator::new(chip).run(&compiled);
         assert_eq!(result.timings().len(), compiled.num_anchors());
-        for t in result.timings() {
-            assert!(t.duration_cycles >= DISPATCH_OVERHEAD_CYCLES);
-            assert!(t.sa_active_cycles <= t.duration_cycles);
-            assert!(t.hbm_active_cycles <= t.duration_cycles);
-            assert!(t.compute_start_cycle >= t.start_cycle);
+        assert_eq!(result.schedule().len(), compiled.num_anchors());
+        for (t, s) in result.timings().iter().zip(result.schedule()) {
+            assert!(s.span_cycles() >= DISPATCH_OVERHEAD_CYCLES);
+            assert!(t.sa_active_cycles <= s.span_cycles());
+            assert!(t.hbm_active_cycles <= s.span_cycles());
+            assert!(s.main_start >= s.span_start());
         }
     }
 
@@ -860,17 +896,16 @@ mod tests {
     fn overlap_never_starts_an_op_before_its_producer_finishes() {
         for (label, result) in table4_simulations() {
             let timings = result.timings();
-            for (index, timing) in timings.iter().enumerate() {
+            let schedule = result.schedule();
+            for (index, scheduled) in schedule.iter().enumerate() {
                 for &p in result.producers_of(index) {
-                    let producer = &timings[p];
-                    let producer_finish = producer.start_cycle + producer.duration_cycles;
                     assert!(
-                        timing.compute_start_cycle >= producer_finish,
+                        scheduled.main_start >= schedule[p].finish,
                         "{label}: {} computes at {} before producer {} finishes at {}",
-                        timing.name,
-                        timing.compute_start_cycle,
-                        producer.name,
-                        producer_finish
+                        timings[index].name,
+                        scheduled.main_start,
+                        timings[p].name,
+                        schedule[p].finish
                     );
                 }
             }
@@ -964,17 +999,19 @@ mod tests {
         let graph = wl.build_graph(&parallelism);
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         let result = Simulator::new(chip).run(&compiled);
+        let schedule = result.schedule();
         let first_gather = result
             .timings()
             .iter()
             .find(|t| t.name.ends_with(".lookup"))
             .expect("DLRM has gather anchors");
-        assert_eq!(first_gather.compute_start_cycle, 0, "gathers are DAG sources");
+        let gather_start = schedule[first_gather.op_index].main_start;
+        assert_eq!(gather_start, 0, "gathers are DAG sources");
         let mlp_tail = result
             .last_timing_with_prefix("bottom_mlp")
             .expect("DLRM lowers a bottom_mlp stack; a gather-only graph would return None");
         assert!(
-            first_gather.compute_start_cycle < mlp_tail.start_cycle + mlp_tail.duration_cycles,
+            gather_start < schedule[mlp_tail.op_index].finish,
             "gathers serialized behind the bottom MLP"
         );
     }
@@ -1018,15 +1055,16 @@ mod tests {
         // streams while the first request's all-to-all is still on the
         // wire — impossible in the chained lowering.
         let timings = batched.timings();
+        let schedule = batched.schedule();
         let first_a2a = timings
             .iter()
             .find(|t| t.name == "embedding_alltoall")
             .expect("distributed DLRM has an all-to-all");
-        let a2a_finish = first_a2a.start_cycle + first_a2a.duration_cycles;
+        let a2a_finish = schedule[first_a2a.op_index].finish;
         assert!(
-            timings.iter().any(|t| t.op_index > first_a2a.op_index
+            timings.iter().zip(schedule).any(|(t, s)| t.op_index > first_a2a.op_index
                 && t.name.ends_with(".lookup")
-                && t.compute_start_cycle < a2a_finish),
+                && s.main_start < a2a_finish),
             "no later gather overlapped the first request's all-to-all"
         );
     }
@@ -1079,6 +1117,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn replays_share_the_per_anchor_records_and_own_only_the_schedule() {
+        // Two replays of one prepared simulator under different release
+        // vectors: the release-independent records are one shared
+        // allocation, never a per-replay copy, while the schedules differ.
+        let wl = Workload::dlrm(DlrmSize::Small).with_batch(64);
+        let chip = ChipConfig::new(NpuGeneration::D, 1);
+        let graph = wl.build_graph(&ParallelismConfig::single());
+        let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
+        let prepared = Simulator::new(chip).prepare(&compiled);
+        let delayed = vec![10_000; compiled.len()];
+        let early = prepared.run_with_releases(&[]);
+        let late = prepared.run_with_releases(&delayed);
+        assert!(std::ptr::eq(early.timings(), late.timings()), "replay copied the records");
+        let sink = early.timings().len() - 1;
+        assert!(!early.producers_of(sink).is_empty());
+        assert!(std::ptr::eq(early.producers_of(sink), late.producers_of(sink)));
+        assert_ne!(early.schedule(), late.schedule());
+        assert_eq!(late.schedule()[0].span_start(), 10_000);
+    }
+
     // ---- sram_demand_percentile_mib boundary semantics ----
     //
     // The percentile is execution-time weighted: sort demands ascending,
@@ -1088,14 +1147,20 @@ mod tests {
     /// A result whose demand profile is exactly two operators of 50 cycles
     /// each: demands 1 MiB and 3 MiB.
     fn two_bucket_result() -> SimulationResult {
-        let result = simulate(Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode), 1);
-        let mut doctored = result;
-        doctored.timings.truncate(2);
+        let mut doctored = simulate(Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode), 1);
         let mib = 1024 * 1024;
-        doctored.timings[0].sram_demand_bytes = mib;
-        doctored.timings[0].duration_cycles = 50;
-        doctored.timings[1].sram_demand_bytes = 3 * mib;
-        doctored.timings[1].duration_cycles = 50;
+        let mut timings = doctored.timings[..2].to_vec();
+        timings[0].sram_demand_bytes = mib;
+        timings[1].sram_demand_bytes = 3 * mib;
+        doctored.timings = timings.into();
+        let span = |start| ScheduledOp {
+            dma_start: start,
+            dma_end: start,
+            main_start: start,
+            main_end: start + 50,
+            finish: start + 50,
+        };
+        doctored.schedule = vec![span(0), span(50)];
         doctored
     }
 

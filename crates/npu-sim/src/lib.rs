@@ -70,7 +70,7 @@ pub use rng::SplitMix64;
 pub use segments::{SegmentBand, SegmentTimeline};
 pub use timeline::{
     BusyTimeline, CollectiveSchedule, CycleInterval, EngineScratch, IdleBucket, IdleHistogram,
-    Resource, ResourceId, ResourceSet, ResourceTimeline, RunCounters, Schedule,
+    Resource, ResourceId, ResourceSet, ResourceTimeline, RunCounters, Schedule, ScheduledOp,
 };
 pub use timing::OpTiming;
 pub use trace::{TraceRecorder, TraceSlice};

@@ -1,27 +1,28 @@
-//! Per-operator timing and activity records produced by the simulator.
+//! Per-operator activity records produced by the simulator.
 
 use serde::{Deserialize, Serialize};
 
 use npu_models::ExecutionUnit;
 
-/// Timing and component activity of one executed (anchor) operator.
+/// What one executed (anchor) operator ran on and how much work it did —
+/// everything about it that no release vector changes.
+///
+/// A [`crate::PreparedSimulator`] builds these once and every replay
+/// shares them ([`crate::SimulationResult::timings`]); *when* the
+/// operator ran is the release-dependent half, the
+/// [`crate::timeline::ScheduledOp`] at the same index of
+/// [`crate::SimulationResult::schedule`]. Active-cycle counts are the
+/// operator's own phase lengths, clamped to its serial cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpTiming {
-    /// Index of the operator in the compiled graph.
+    /// Anchor position of the operator: its index in
+    /// [`crate::SimulationResult::timings`] and
+    /// [`crate::SimulationResult::schedule`].
     pub op_index: usize,
     /// Operator name.
     pub name: String,
     /// Execution unit the operator ran on.
     pub unit: ExecutionUnit,
-    /// First cycle (global clock) at which any phase of the operator —
-    /// including its DMA prefetch — occupies hardware.
-    pub start_cycle: u64,
-    /// Cycle (global clock) at which the main compute/transfer phase is
-    /// dispatched; never earlier than the producer's completion.
-    pub compute_start_cycle: u64,
-    /// Wall-clock duration of the operator in chip cycles: its occupancy
-    /// span on the global clock, from `start_cycle` to completion.
-    pub duration_cycles: u64,
     /// What the operator would cost in isolation on the old serial engine
     /// (intra-operator overlap only). The sum of these over a graph is the
     /// serial baseline the overlapped makespan is compared against.
@@ -48,80 +49,4 @@ pub struct OpTiming {
     pub sram_live_bytes: u64,
     /// SRAM demand of the operator in bytes (unbounded by capacity).
     pub sram_demand_bytes: u64,
-}
-
-impl OpTiming {
-    /// Duration in seconds at the given clock frequency.
-    #[must_use]
-    pub fn duration_seconds(&self, frequency_hz: f64) -> f64 {
-        self.duration_cycles as f64 / frequency_hz
-    }
-
-    /// SA temporal utilization within this operator.
-    #[must_use]
-    pub fn sa_temporal_utilization(&self) -> f64 {
-        if self.duration_cycles == 0 {
-            0.0
-        } else {
-            self.sa_active_cycles as f64 / self.duration_cycles as f64
-        }
-    }
-
-    /// VU temporal utilization within this operator.
-    #[must_use]
-    pub fn vu_temporal_utilization(&self) -> f64 {
-        if self.duration_cycles == 0 {
-            0.0
-        } else {
-            self.vu_active_cycles as f64 / self.duration_cycles as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn timing() -> OpTiming {
-        OpTiming {
-            op_index: 0,
-            name: "mm".into(),
-            unit: ExecutionUnit::Sa,
-            start_cycle: 0,
-            compute_start_cycle: 0,
-            duration_cycles: 1000,
-            serial_duration_cycles: 1000,
-            sa_active_cycles: 800,
-            sa_spatial_utilization: 0.9,
-            vu_active_cycles: 100,
-            hbm_active_cycles: 200,
-            ici_active_cycles: 0,
-            hbm_bytes: 1 << 20,
-            ici_bytes: 0,
-            flops: 1e9,
-            sram_live_bytes: 1 << 22,
-            sram_demand_bytes: 1 << 23,
-        }
-    }
-
-    #[test]
-    fn utilization_ratios() {
-        let t = timing();
-        assert!((t.sa_temporal_utilization() - 0.8).abs() < 1e-12);
-        assert!((t.vu_temporal_utilization() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duration_conversion() {
-        let t = timing();
-        assert!((t.duration_seconds(1e9) - 1e-6).abs() < 1e-15);
-    }
-
-    #[test]
-    fn zero_duration_is_handled() {
-        let mut t = timing();
-        t.duration_cycles = 0;
-        assert_eq!(t.sa_temporal_utilization(), 0.0);
-        assert_eq!(t.vu_temporal_utilization(), 0.0);
-    }
 }

@@ -50,10 +50,10 @@ fn corpus_policies() -> Vec<BatchPolicy> {
 fn schedule_digest(sim: &SimulationResult) -> u64 {
     let mut fnv = Fnv::new();
     fnv.push(sim.total_cycles());
-    for t in sim.timings() {
-        fnv.push(t.start_cycle);
-        fnv.push(t.compute_start_cycle);
-        fnv.push(t.duration_cycles);
+    for s in sim.schedule() {
+        fnv.push(s.span_start());
+        fnv.push(s.main_start);
+        fnv.push(s.span_cycles());
     }
     let histogram = sim.idle_histogram();
     for kind in ComponentKind::ALL {
@@ -69,13 +69,13 @@ fn schedule_digest(sim: &SimulationResult) -> u64 {
 fn check_release_causality(outcome: &ServingOutcome, label: &str) {
     let sim = &outcome.simulation;
     let mut released_late = 0usize;
-    for (k, t) in sim.timings().iter().enumerate() {
+    for (k, (t, s)) in sim.timings().iter().zip(sim.schedule()).enumerate() {
         let release = sim.release_of(k);
         assert!(
-            t.start_cycle >= release,
+            s.span_start() >= release,
             "{label}: anchor {k} ({}) starts at {} before its release {release}",
             t.name,
-            t.start_cycle
+            s.span_start()
         );
         if release > 0 {
             released_late += 1;
@@ -282,8 +282,10 @@ fn saturating_load_reproduces_the_cycle0_batch_run_bit_for_bit() {
             schedule_digest(&reference),
             "{label}: saturated schedule digest diverges from the cycle-0 batch run"
         );
-        // And the strongest form: the timing vectors themselves.
+        // And the strongest form: the per-anchor records and schedules
+        // themselves.
         assert_eq!(outcome.simulation.timings(), reference.timings(), "{label}");
+        assert_eq!(outcome.simulation.schedule(), reference.schedule(), "{label}");
         assert_eq!(
             outcome.simulation.busy_timeline(),
             reference.busy_timeline(),
@@ -332,6 +334,7 @@ fn cached_compile_path_matches_fresh_compile_bit_for_bit() {
                 "{label}: cached-compile schedule diverges from the fresh compile"
             );
             assert_eq!(cached.simulation.timings(), fresh.simulation.timings(), "{label}");
+            assert_eq!(cached.simulation.schedule(), fresh.simulation.schedule(), "{label}");
             assert_eq!(cached.batches, fresh.batches, "{label}: batch records diverge");
             assert_eq!(cached.requests, fresh.requests, "{label}: request records diverge");
             assert_eq!(

@@ -231,8 +231,8 @@ fn full_pipeline_segment_timelines_satisfy_the_invariants() {
         // cover at least the live bytes the allocator reported for that
         // anchor (`OpTiming::sram_live_bytes`); a lifetime mapped onto
         // the wrong operator's span fails this.
-        for timing in result.timings() {
-            let at = timing.compute_start_cycle;
+        for (timing, scheduled) in result.timings().iter().zip(result.schedule()) {
+            let at = scheduled.main_start;
             assert!(
                 tl.live_bytes_at(at) >= timing.sram_live_bytes,
                 "{label}: at cycle {at} the union ({}) undercounts {}'s live bytes ({})",

@@ -67,7 +67,7 @@ fn component_activity_is_consistent_across_crates() {
     // Operator spans overlap on the global clock (prefetch of operator k+1
     // during compute of operator k), so their sum is an upper bound of the
     // makespan; the serial per-op sum bounds it from above as well.
-    let span_sum: u64 = sim.timings().iter().map(|t| t.duration_cycles).sum();
+    let span_sum: u64 = sim.schedule().iter().map(|s| s.span_cycles()).sum();
     assert!(span_sum >= sim.total_cycles());
     assert!(sim.total_cycles() <= sim.serial_cycles());
     for kind in ComponentKind::ALL {
