@@ -18,12 +18,11 @@
 
 use std::time::{Duration, Instant};
 
-use npu_arch::NpuGeneration;
+use npu_arch::{JsonWriter, NpuGeneration};
 use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
 use npu_serving::{ArrivalProcess, BatchPolicy, ServingOutcome, ServingReport, ServingSimulator};
 use regate::{Design, Evaluator, PolicyKind};
-use regate_bench::report::{json_string, BENCH_SCHEMA_VERSION};
-use regate_bench::{pct, section};
+use regate_bench::{pct, section, BENCH_SCHEMA_VERSION};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -39,8 +38,14 @@ fn main() {
         .position(|a| a == "--json")
         .map(|i| args[i + 1..].first().expect("--json takes a path").clone());
     let requests = if quick { 8 } else { 24 };
-    // Rendered per-deployment objects for the `--json` matrix export.
-    let mut json_deployments: Vec<String> = Vec::new();
+    // The `--json` matrix export, streamed one deployment at a time.
+    let mut json = json_path.as_ref().map(|_| {
+        let mut w = JsonWriter::with_capacity(16 * 1024);
+        w.raw("{\n  \"schema_version\": ").uint(u64::from(BENCH_SCHEMA_VERSION));
+        w.raw(",\n  \"tool\": \"serving_sweep\",\n  \"requests_per_load_point\": ");
+        w.uint(requests as u64).raw(",\n  \"deployments\": [\n");
+        w
+    });
     // Serving throughput accounting: simulated cycles scheduled per
     // wall-second, over every timed serving run of the sweep.
     let mut simulated_cycles = 0u64;
@@ -91,7 +96,7 @@ fn main() {
         ]
     };
 
-    for (workload, chips, label) in deployments {
+    for (deployment, (workload, chips, label)) in deployments.into_iter().enumerate() {
         let server = ServingSimulator::new(NpuGeneration::D, chips, workload);
         let evaluator = Evaluator::new(NpuGeneration::D);
 
@@ -225,49 +230,33 @@ fn main() {
         }
         println!("(per load point: busy-energy savings vs NoPG, execution-time overhead)");
 
-        if json_path.is_some() {
-            let policy_rows: Vec<String> = kinds
-                .iter()
-                .map(|&kind| {
-                    let cell_rows: Vec<String> = processes
-                        .iter()
-                        .zip(&cells)
-                        .map(|(process, cell)| {
-                            let row = cell.row(kind);
-                            format!(
-                                "{{ \"load\": {}, \"savings\": {:.6}, \
-                                 \"performance_overhead\": {:.6} }}",
-                                json_string(&process.label()),
-                                row.savings,
-                                row.performance_overhead
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "        {{ \"policy\": {}, \"cells\": [{}] }}",
-                        json_string(&kind.label()),
-                        cell_rows.join(", ")
-                    )
-                })
-                .collect();
-            json_deployments.push(format!(
-                "    {{\n      \"label\": {},\n      \"chips\": {chips},\n      \"loads\": \
-                 [{}],\n      \"policies\": [\n{}\n      ]\n    }}",
-                json_string(label),
-                processes.iter().map(|p| json_string(&p.label())).collect::<Vec<_>>().join(", "),
-                policy_rows.join(",\n")
-            ));
+        if let Some(w) = json.as_mut() {
+            w.raw(if deployment > 0 { ",\n" } else { "" }).raw("    {\n      \"label\": ");
+            w.string(label).raw(",\n      \"chips\": ").uint(chips as u64);
+            w.raw(",\n      \"loads\": [");
+            for (index, process) in processes.iter().enumerate() {
+                w.raw(if index > 0 { ", " } else { "" }).string(&process.label());
+            }
+            w.raw("],\n      \"policies\": [\n");
+            for (index, &kind) in kinds.iter().enumerate() {
+                w.raw(if index > 0 { ",\n" } else { "" }).raw("        { \"policy\": ");
+                w.string(&kind.label()).raw(", \"cells\": [");
+                for (cell_index, (process, cell)) in processes.iter().zip(&cells).enumerate() {
+                    let row = cell.row(kind);
+                    w.raw(if cell_index > 0 { ", " } else { "" }).raw("{ \"load\": ");
+                    w.string(&process.label()).raw(", \"savings\": ").fixed(row.savings, 6);
+                    w.raw(", \"performance_overhead\": ").fixed(row.performance_overhead, 6);
+                    w.raw(" }");
+                }
+                w.raw("] }");
+            }
+            w.raw("\n      ]\n    }");
         }
     }
 
-    if let Some(path) = &json_path {
-        let json = format!(
-            "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"tool\": \
-             \"serving_sweep\",\n  \"requests_per_load_point\": {requests},\n  \"deployments\": \
-             [\n{}\n  ]\n}}\n",
-            json_deployments.join(",\n")
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    if let (Some(path), Some(mut w)) = (&json_path, json) {
+        w.raw("\n  ]\n}\n");
+        std::fs::write(path, w.finish()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("\nwrote policy matrix JSON to {path}");
     }
 

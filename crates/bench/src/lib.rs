@@ -7,9 +7,11 @@
 
 #![warn(missing_docs)]
 
-pub mod report;
-
-pub use report::BENCH_SCHEMA_VERSION;
+/// Version stamped into every JSON document the harness binaries write,
+/// so downstream tooling (the CI JSON check, dashboards) can detect a
+/// layout change instead of mis-parsing it. Bump when a document's
+/// envelope (not a row's metric set) changes shape.
+pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// Formats a fraction as a percentage with one decimal place.
 #[must_use]

@@ -10,6 +10,10 @@
 //! study"): NPU-A/B/C/D are derived from TPUv2/3/4/5p and NPU-E is a
 //! projected TPUv6p-class part.
 //!
+//! It also hosts [`JsonWriter`], the std-only writer behind every JSON
+//! export in the workspace: it is shared by every crate and belongs to no
+//! model layer.
+//!
 //! ## Example
 //!
 //! ```
@@ -27,6 +31,7 @@
 
 pub mod chip;
 pub mod component;
+pub mod json;
 pub mod memory;
 pub mod parallelism;
 pub mod slo;
@@ -35,6 +40,7 @@ pub mod topology;
 
 pub use chip::ChipConfig;
 pub use component::{ComponentId, ComponentKind, PowerDomain};
+pub use json::JsonWriter;
 pub use memory::{HbmKind, SramGeometry};
 pub use parallelism::{ParallelismConfig, ShardingAxis};
 pub use slo::{SloSpec, SloTarget};

@@ -17,14 +17,13 @@
 //!
 //! Waveforms export two ways: [`PowerTimeline::counter_samples`] feeds a
 //! trace recorder's counter tracks (watts over cycles, one track per
-//! component), and [`PowerTimeline::waveform_json`] renders a
-//! deterministic standalone JSON document.
-
-use std::fmt::Write as _;
+//! component), and [`PowerTimeline::waveform_json`] streams a
+//! deterministic standalone JSON document through the workspace's one
+//! [`JsonWriter`].
 
 use serde::{Deserialize, Serialize};
 
-use npu_arch::ComponentKind;
+use npu_arch::{ComponentKind, JsonWriter};
 
 use crate::gating::{ComponentGating, GatingParams};
 
@@ -247,41 +246,30 @@ impl PowerTimeline {
 
     /// Renders the timeline as a deterministic standalone JSON document:
     /// per-component steps as `[start_cycle, end_cycle, watts]` triples
-    /// plus the gating statistics and energy integrals.
+    /// plus the gating statistics and energy integrals. A non-finite
+    /// level or integral renders as `null`.
     #[must_use]
     pub fn waveform_json(&self) -> String {
-        let mut out = String::from("{\"schema_version\":1,");
-        let _ = write!(
-            out,
-            "\"seconds_per_cycle\":{},\"makespan_cycles\":{},\"components\":[",
-            self.seconds_per_cycle, self.makespan_cycles
-        );
+        let steps: usize = self.components.iter().map(|c| c.steps.len()).sum();
+        let mut w = JsonWriter::with_capacity(128 + 192 * self.components.len() + 64 * steps);
+        w.raw("{\"schema_version\":1,\"seconds_per_cycle\":").float(self.seconds_per_cycle);
+        w.raw(",\"makespan_cycles\":").uint(self.makespan_cycles).raw(",\"components\":[");
         for (index, wave) in self.components.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"static_w\":{},\"dynamic_j\":{},\"gated_intervals\":{},\
-                 \"wakeups\":{},\"energy_j\":{},\"steps\":[",
-                wave.kind,
-                wave.static_w,
-                wave.dynamic_j,
-                wave.gated_intervals,
-                wave.wakeups,
-                wave.energy_j(self.seconds_per_cycle)
-            );
+            w.raw(if index > 0 { "," } else { "" }).raw("{\"kind\":").string(wave.kind.label());
+            w.raw(",\"static_w\":").float(wave.static_w);
+            w.raw(",\"dynamic_j\":").float(wave.dynamic_j);
+            w.raw(",\"gated_intervals\":").uint(wave.gated_intervals);
+            w.raw(",\"wakeups\":").uint(wave.wakeups);
+            w.raw(",\"energy_j\":").float(wave.energy_j(self.seconds_per_cycle));
+            w.raw(",\"steps\":[");
             for (si, step) in wave.steps.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{},{}]", step.start_cycle, step.end_cycle, step.watts);
+                w.raw(if si > 0 { ",[" } else { "[" }).float(step.start_cycle);
+                w.raw(",").float(step.end_cycle).raw(",").float(step.watts).raw("]");
             }
-            out.push_str("]}");
+            w.raw("]}");
         }
-        let _ = write!(out, "],\"total_energy_j\":{}}}", self.total_energy_j());
-        out.push('\n');
-        out
+        w.raw("],\"total_energy_j\":").float(self.total_energy_j()).raw("}\n");
+        w.finish()
     }
 }
 

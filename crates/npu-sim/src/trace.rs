@@ -12,11 +12,14 @@
 //!
 //! [`TraceRecorder::chrome_json`] renders everything as Chrome
 //! trace-event JSON (the `{"traceEvents": [...]}` object form), directly
-//! loadable in `chrome://tracing` or <https://ui.perfetto.dev>. The
-//! writer is hand-rolled and fully deterministic: two observed runs of
-//! the same prepared engine produce byte-identical exports.
+//! loadable in `chrome://tracing` or <https://ui.perfetto.dev>. Events
+//! stream into one pre-sized [`JsonWriter`] (the workspace's one JSON
+//! writer, in `npu_arch::json`) with no per-event `String`; a non-finite
+//! counter sample renders as `null`. The export is fully deterministic:
+//! two observed runs of the same prepared engine produce byte-identical
+//! exports.
 
-use std::fmt::Write as _;
+use npu_arch::JsonWriter;
 
 use crate::observer::SimObserver;
 use crate::timeline::{merge_intervals, CycleInterval, Resource, ResourceId, ResourceSet};
@@ -192,126 +195,73 @@ impl TraceRecorder {
     /// Renders the recorded run as Chrome trace-event JSON (object form),
     /// loadable in `chrome://tracing` and Perfetto. Timestamps and
     /// durations are in *cycles* (the trace viewer's "µs" unit label is
-    /// cosmetic). Output is deterministic byte for byte.
+    /// cosmetic). Every event streams into one pre-sized [`JsonWriter`];
+    /// a non-finite counter sample renders as `null`. Output is
+    /// deterministic byte for byte.
     #[must_use]
     pub fn chrome_json(&self) -> String {
         let num_units = self.unit_slices.len();
         let num_chips = self.prefetch_slices.len();
-        let batch_tid = num_units + num_chips;
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        let mut push = |event: String, out: &mut String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&event);
+        let batch_tid = (num_units + num_chips) as u64;
+        // Slice and flow events take about 70 bytes each, so 80 keeps
+        // the buffer from growing; counter events also repeat their name
+        // and unit.
+        let counter_bytes: usize = self
+            .counters
+            .iter()
+            .map(|c| c.samples.len() * (96 + c.name.len() + c.unit.len()))
+            .sum();
+        let events = 2 + num_units + num_chips + self.num_slices() + 3 * self.batches.len();
+        let mut w = JsonWriter::with_capacity(80 * events + counter_bytes);
+        w.raw("{\"traceEvents\":[\n");
+        w.raw("{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",");
+        w.raw("\"args\":{\"name\":\"npu-sim\"}}");
+        // Every later event follows one already written: each opens with
+        // the separator.
+        let thread_name = |w: &mut JsonWriter, tid: u64, name: &str| {
+            w.raw(",\n{\"ph\":\"M\",\"pid\":0,\"tid\":").uint(tid);
+            w.raw(",\"name\":\"thread_name\",\"args\":{\"name\":").string(name).raw("}}");
         };
-        push(
-            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"npu-sim\"}}"
-                .to_string(),
-            &mut out,
-        );
         for index in 0..num_units {
-            push(thread_metadata(index, &self.track_name(ResourceId(index as u32))), &mut out);
+            thread_name(&mut w, index as u64, &self.track_name(ResourceId(index as u32)));
         }
         for chip in 0..num_chips {
-            push(thread_metadata(num_units + chip, &format!("chip{chip}.prefetch")), &mut out);
+            thread_name(&mut w, (num_units + chip) as u64, &format!("chip{chip}.prefetch"));
         }
         if !self.batches.is_empty() {
-            push(thread_metadata(batch_tid, "batches"), &mut out);
+            thread_name(&mut w, batch_tid, "batches");
         }
-        for (index, slices) in self.unit_slices.iter().enumerate() {
+        for (tid, slices) in self.unit_slices.iter().chain(&self.prefetch_slices).enumerate() {
             for s in slices {
-                push(complete_event(index, s), &mut out);
-            }
-        }
-        for (chip, slices) in self.prefetch_slices.iter().enumerate() {
-            for s in slices {
-                push(complete_event(num_units + chip, s), &mut out);
+                let dur = s.end.saturating_sub(s.start);
+                w.raw(",\n{\"ph\":\"X\",\"pid\":0,\"tid\":").uint(tid as u64);
+                w.raw(",\"ts\":").uint(s.start).raw(",\"dur\":").uint(dur);
+                w.raw(",\"name\":\"op").uint(s.op as u64).raw("\"}");
             }
         }
         for b in &self.batches {
-            let dur = b.completion.saturating_sub(b.dispatch);
-            push(
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":0,\"tid\":{batch_tid},\"ts\":{},\"dur\":{dur},\
-                     \"name\":\"batch{}\",\"cat\":\"serving\"}}",
-                    b.dispatch, b.index
-                ),
-                &mut out,
-            );
-            push(
-                format!(
-                    "{{\"ph\":\"s\",\"pid\":0,\"tid\":{batch_tid},\"ts\":{},\"id\":{},\
-                     \"name\":\"batch\",\"cat\":\"serving\"}}",
-                    b.dispatch, b.index
-                ),
-                &mut out,
-            );
-            push(
-                format!(
-                    "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":{batch_tid},\"ts\":{},\
-                     \"id\":{},\"name\":\"batch\",\"cat\":\"serving\"}}",
-                    b.completion, b.index
-                ),
-                &mut out,
-            );
+            let (index, dispatch, completion) = (b.index as u64, b.dispatch, b.completion);
+            let dur = completion.saturating_sub(dispatch);
+            w.raw(",\n{\"ph\":\"X\",\"pid\":0,\"tid\":").uint(batch_tid);
+            w.raw(",\"ts\":").uint(dispatch).raw(",\"dur\":").uint(dur);
+            w.raw(",\"name\":\"batch").uint(index).raw("\",\"cat\":\"serving\"}");
+            w.raw(",\n{\"ph\":\"s\",\"pid\":0,\"tid\":").uint(batch_tid);
+            w.raw(",\"ts\":").uint(dispatch).raw(",\"id\":").uint(index);
+            w.raw(",\"name\":\"batch\",\"cat\":\"serving\"}");
+            w.raw(",\n{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":").uint(batch_tid);
+            w.raw(",\"ts\":").uint(completion).raw(",\"id\":").uint(index);
+            w.raw(",\"name\":\"batch\",\"cat\":\"serving\"}");
         }
         for track in &self.counters {
             for &(ts, value) in &track.samples {
-                push(
-                    format!(
-                        "{{\"ph\":\"C\",\"pid\":0,\"ts\":{ts},\"name\":{},\"args\":{{{}:{value}}}}}",
-                        json_string(&track.name),
-                        json_string(&track.unit)
-                    ),
-                    &mut out,
-                );
+                w.raw(",\n{\"ph\":\"C\",\"pid\":0,\"ts\":").float(ts);
+                w.raw(",\"name\":").string(&track.name).raw(",\"args\":{");
+                w.string(&track.unit).raw(":").float(value).raw("}}");
             }
         }
-        out.push_str("\n]}\n");
-        out
+        w.raw("\n]}\n");
+        w.finish()
     }
-}
-
-/// A `thread_name` metadata event naming one display track.
-fn thread_metadata(tid: usize, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-        json_string(name)
-    )
-}
-
-/// An `"X"` (complete) event for one busy slice.
-fn complete_event(tid: usize, s: &TraceSlice) -> String {
-    format!(
-        "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"op{}\"}}",
-        s.start,
-        s.end.saturating_sub(s.start),
-        s.op
-    )
-}
-
-/// Quotes and escapes a string for JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl SimObserver for TraceRecorder {
@@ -381,8 +331,14 @@ mod tests {
 
     #[test]
     fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        // The writer's string path, which every export's names go through.
+        let quoted = |s: &str| {
+            let mut w = JsonWriter::default();
+            w.string(s);
+            w.finish()
+        };
+        assert_eq!(quoted("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(quoted("x\ny"), "\"x\\ny\"");
+        assert_eq!(quoted("\u{1}"), "\"\\u0001\"");
     }
 }

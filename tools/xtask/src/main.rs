@@ -1,9 +1,10 @@
 //! Workspace verification tasks, runnable as `cargo run -p xtask -- <task>`.
 //!
-//! `check-json <file>...` verifies that hand-rendered JSON artifacts
-//! (exported traces, power waveforms, the sweep matrix) parse as
-//! well-formed documents — the workspace vendors no JSON library, so the
-//! exporters render by hand and this gate catches envelope bugs in CI.
+//! `check-json <file>...` verifies that exported JSON artifacts (traces,
+//! power waveforms, the sweep matrix) parse as well-formed documents —
+//! the workspace vendors no JSON library, so the exporters supply their
+//! own structure to the std-only `npu_arch::json::JsonWriter` and this
+//! gate catches envelope bugs in CI.
 //!
 //! `lint` is a token-level source scan that denies
 //! the constructs this workspace's determinism story cannot tolerate.
@@ -110,7 +111,8 @@ fn main() -> ExitCode {
 
 /// Verifies each listed file is one well-formed JSON document — the CI
 /// gate over exported traces, power waveforms, and the sweep matrix
-/// (all hand-rendered, none produced by a JSON library).
+/// (all written by the workspace's own `JsonWriter`, none by a JSON
+/// library).
 fn run_check_json(files: &[String]) -> ExitCode {
     if files.is_empty() {
         eprintln!("check-json: no files given");
@@ -144,7 +146,7 @@ fn run_check_json(files: &[String]) -> ExitCode {
 /// A minimal recursive-descent JSON well-formedness checker (RFC 8259
 /// grammar, no value materialization). Kept dependency-free on purpose:
 /// the workspace vendors no JSON library, and the exporters it checks
-/// render their documents by hand.
+/// write through the workspace's own `JsonWriter`.
 mod json {
     /// Validates that `text` is exactly one JSON value plus whitespace.
     pub fn validate(text: &str) -> Result<(), String> {
