@@ -73,6 +73,36 @@ impl Fnv1a {
     pub fn digest(&self) -> u64 {
         self.0
     }
+
+    /// Folds every field of an event-loop counter block, in declaration
+    /// order, with the link list's length ahead of its entries.
+    pub fn push_counters(&mut self, counters: &npu_sim::RunCounters) {
+        let npu_sim::RunCounters {
+            events_popped,
+            heap_peak,
+            ops_retired,
+            release_stalls,
+            release_stall_cycles,
+            collectives_issued,
+            collective_hops,
+            link_busy_cycles,
+        } = counters;
+        for v in [
+            events_popped,
+            heap_peak,
+            ops_retired,
+            release_stalls,
+            release_stall_cycles,
+            collectives_issued,
+            collective_hops,
+        ] {
+            self.push(*v);
+        }
+        self.push(link_busy_cycles.len() as u64);
+        for v in link_busy_cycles {
+            self.push(*v);
+        }
+    }
 }
 
 impl Default for Fnv1a {

@@ -27,8 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig};
 use npu_compiler::{CompiledGraph, Compiler};
-use npu_models::{ExecutionUnit, Workload};
-use npu_power::energy::ChipUsage;
+use npu_models::Workload;
 use npu_power::{CarbonModel, EnergyBreakdown, GatingParams, PowerModel};
 use npu_sim::{AnalysisReport, Diagnostic, SimulationResult, Simulator};
 
@@ -418,8 +417,8 @@ impl Evaluator {
         );
         let model = PowerModel::new(chip.spec());
         let spec = model.spec();
-        let usage = Self::chip_usage(compiled, sim);
-        let baseline = EnergyBreakdown::no_power_gating_with_duty(&model, &usage, duty_cycle);
+        let baseline =
+            EnergyBreakdown::no_power_gating_with_duty(&model, &sim.chip_usage(), duty_cycle);
         let total_cycles = sim.total_cycles();
         let timeline = sim.busy_timeline();
         let units = TIMELINE_UNITS.map(|kind| UnitProfile {
@@ -500,32 +499,6 @@ impl Evaluator {
             max_op_dynamic_w,
             chip_idle: OnceCell::new(),
             sim,
-        }
-    }
-
-    /// Builds the chip-activity counters for the dynamic-energy model.
-    fn chip_usage(compiled: &CompiledGraph, sim: &SimulationResult) -> ChipUsage {
-        let mut sa_flops = 0.0;
-        let mut vu_flops = 0.0;
-        for op in compiled.anchors() {
-            match op.unit {
-                ExecutionUnit::Sa => {
-                    sa_flops += op.op.flops();
-                    vu_flops += op.fused_vu_flops;
-                }
-                _ => vu_flops += op.op.flops() + op.fused_vu_flops,
-            }
-        }
-        let hbm_bytes: f64 = sim.timings().iter().map(|t| t.hbm_bytes as f64).sum();
-        let ici_bytes: f64 = sim.timings().iter().map(|t| t.ici_bytes as f64).sum();
-        ChipUsage {
-            busy_seconds: sim.total_seconds(),
-            sa_flops,
-            vu_flops,
-            hbm_bytes,
-            ici_bytes,
-            sram_bytes: 3.0 * hbm_bytes,
-            dma_bytes: hbm_bytes + ici_bytes,
         }
     }
 

@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use npu_arch::{ChipConfig, ComponentKind, PodTopology};
 use npu_compiler::{CompiledGraph, CompiledOp, SegmentLifetime, SramAllocation};
 use npu_models::{CollectiveKind, ExecutionUnit, OpKind};
+use npu_power::energy::ChipUsage;
 
 use crate::activity::ComponentActivity;
 use crate::observer::{NullObserver, SimObserver};
@@ -145,7 +146,15 @@ impl Simulator {
         let mut timings = Vec::with_capacity(num_anchors);
         let mut anchor_ids = Vec::with_capacity(num_anchors);
         let mut sa_weighted_spatial = 0.0f64;
+        let (mut sa_flops, mut vu_flops) = (0.0, 0.0);
         for (anchor_index, op) in graph.anchors().enumerate() {
+            match op.unit {
+                ExecutionUnit::Sa => {
+                    sa_flops += op.op.flops();
+                    vu_flops += op.fused_vu_flops;
+                }
+                _ => vu_flops += op.op.flops() + op.fused_vu_flops,
+            }
             let mut profile = self.profile_operator(op);
             profile.timing.op_index = anchor_index;
             profile.timing.sram_live_bytes = live_profile[anchor_index];
@@ -165,6 +174,17 @@ impl Simulator {
             phases.push(profile.phases);
             timings.push(profile.timing);
         }
+        let hbm_bytes: f64 = timings.iter().map(|t| t.hbm_bytes as f64).sum();
+        let ici_bytes: f64 = timings.iter().map(|t| t.ici_bytes as f64).sum();
+        let work = ChipUsage {
+            busy_seconds: 0.0,
+            sa_flops,
+            vu_flops,
+            hbm_bytes,
+            ici_bytes,
+            sram_bytes: 3.0 * hbm_bytes,
+            dma_bytes: hbm_bytes + ici_bytes,
+        };
         let fold_anchor =
             graph.ops().iter().enumerate().map(|(id, op)| op.folded_into.unwrap_or(id)).collect();
         PreparedSimulator {
@@ -173,6 +193,7 @@ impl Simulator {
             timings: timings.into(),
             anchor_producers: anchor_producers.into(),
             sa_weighted_spatial,
+            work,
             fold_anchor,
             anchor_ids,
             lifetimes: allocation.segment_lifetimes(),
@@ -350,6 +371,9 @@ pub struct PreparedSimulator {
     /// Σ spatial utilization × SA-active cycles, summed in anchor order —
     /// the activity's SA spatial weight, which no release changes.
     sa_weighted_spatial: f64,
+    /// The graph's work totals with zero busy time, shared with every
+    /// result (see [`SimulationResult::chip_usage`]).
+    work: ChipUsage,
     /// Op id → op id of its fusion-group anchor (identity when unfused).
     fold_anchor: Vec<usize>,
     /// Anchor index → op id.
@@ -523,6 +547,7 @@ impl PreparedSimulator {
             timeline,
             segments,
             makespan_cycles: schedule.makespan,
+            work: self.work,
             counters: schedule.counters,
         }
     }
@@ -551,6 +576,8 @@ pub struct SimulationResult {
     timeline: BusyTimeline,
     segments: SegmentTimeline,
     makespan_cycles: u64,
+    /// Work totals of the prepared graph, busy time left at zero.
+    work: ChipUsage,
     /// Event-loop counters of the run that produced this result.
     #[serde(default)]
     counters: RunCounters,
@@ -657,6 +684,17 @@ impl SimulationResult {
     #[must_use]
     pub fn total_seconds(&self) -> f64 {
         self.chip.spec().cycles_to_seconds(self.total_cycles())
+    }
+
+    /// The activity counters the dynamic-energy model prices: this run's
+    /// busy seconds plus the graph's work totals, which no release vector
+    /// changes. [`Simulator::prepare`] sums those once, in anchor order:
+    /// SA and VU flops split by execution unit (an SA operator's fused
+    /// vector work counts as VU flops), HBM and ICI bytes, and the SRAM
+    /// (3× HBM) and DMA (HBM + ICI) traffic derived from them.
+    #[must_use]
+    pub fn chip_usage(&self) -> ChipUsage {
+        ChipUsage { busy_seconds: self.total_seconds(), ..self.work }
     }
 
     /// Total FLOPs executed.

@@ -254,17 +254,34 @@ impl SegmentTimeline {
             .sum()
     }
 
-    /// Peak instantaneous live bytes across the whole execution. The live
-    /// set only grows at an interval start, so sampling every start visits
-    /// every candidate maximum.
+    /// Peak instantaneous live bytes across the whole execution: the
+    /// largest [`SegmentTimeline::live_bytes_at`] over every live-interval
+    /// start (the live set only grows at a start). Computed in one sweep
+    /// over the interval endpoints, so the cost is O(n log n) in the
+    /// number of live intervals rather than one full scan per start.
     #[must_use]
     pub fn peak_live_bytes(&self) -> u64 {
-        self.bands
-            .iter()
-            .flat_map(|b| b.live.iter().map(|iv| iv.start))
-            .map(|at| self.live_bytes_at(at))
-            .max()
-            .unwrap_or(0)
+        // `(cycle, is_start, bytes)`: at one cycle `false < true` sorts
+        // ends before starts, because live intervals are half-open.
+        let mut edges: Vec<(u64, bool, u64)> = Vec::new();
+        for band in &self.bands {
+            let bytes = band.num_segments as u64 * self.segment_bytes;
+            for iv in band.live.iter().filter(|iv| !iv.is_empty()) {
+                edges.push((iv.start, true, bytes));
+                edges.push((iv.end, false, bytes));
+            }
+        }
+        edges.sort_unstable_by_key(|&(at, is_start, _)| (at, is_start));
+        let (mut live, mut peak) = (0u64, 0u64);
+        for (_, is_start, bytes) in edges {
+            if is_start {
+                live += bytes;
+                peak = peak.max(live);
+            } else {
+                live -= bytes;
+            }
+        }
+        peak
     }
 
     /// Merged union of every segment's live intervals: the cycles during
@@ -350,6 +367,22 @@ mod tests {
         assert_eq!(tl.live_bytes_at(450), 8192, "the second op has finished");
         assert_eq!(tl.peak_live_bytes(), 8192 + 12288);
         assert!(tl.peak_live_bytes() <= geometry().total_bytes());
+    }
+
+    #[test]
+    fn an_interval_ending_where_another_starts_does_not_overlap_it() {
+        // Half-open intervals: band 0 is live on [0, 100), band 1 on
+        // [100, 300). At cycle 100 only band 1 is live, so the peak is the
+        // larger band, not the sum.
+        let alloc = SramAllocation::from_buffers(
+            geometry(),
+            vec![buffer(0, 0, 4096, 0, 0), buffer(1, 32 * 1024, 8192, 1, 1)],
+            2,
+        );
+        let ops = [op(0, 0, 100), op(100, 100, 300)];
+        let tl = SegmentTimeline::build(&alloc, &ops, 300);
+        assert_eq!(tl.live_bytes_at(100), 8192);
+        assert_eq!(tl.peak_live_bytes(), 8192);
     }
 
     #[test]

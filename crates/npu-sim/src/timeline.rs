@@ -684,9 +684,11 @@ impl ScheduledOp {
 pub struct RunCounters {
     /// Events popped off the queue over the whole run.
     pub events_popped: u64,
-    /// Largest number of scheduled events ever pending at once (sampled
-    /// at every pop, which bounds the heap's true peak: the queue only
-    /// grows between pops).
+    /// Largest number of scheduled events ever pending at once, counted
+    /// across all three [`EventQueue`] lanes, not only its heap. Sampled
+    /// at every pop, which catches the true peak: the queue only grows
+    /// between pops. The name predates the lanes and stays, because
+    /// `perfbench` reports it as `sim.heap_peak`.
     pub heap_peak: u64,
     /// Operators retired (all phases complete).
     pub ops_retired: u64,
@@ -756,14 +758,15 @@ struct OpState {
     finish: u64,
 }
 
-/// Reusable run-state buffers for [`TimelineEngine::run_with_scratch`]:
-/// the per-operator state arena and the event queue's heap storage.
-/// Holding one scratch across many runs (a serving sweep, a bench loop)
-/// keeps the hot loop free of per-run allocations.
+/// Reusable run state for [`TimelineEngine::run_with_scratch`]: the
+/// per-operator state arena and the whole [`EventQueue`], every lane of
+/// which each run clears without freeing. Holding one scratch across many
+/// runs (a serving sweep, a bench loop) keeps the hot loop free of
+/// per-run allocations.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     state: Vec<OpState>,
-    events: Vec<crate::events::ScheduledEvent>,
+    queue: EventQueue,
 }
 
 /// The event-driven timeline engine.
@@ -776,7 +779,7 @@ pub struct EngineScratch {
 ///
 /// The engine itself is an immutable topology: the phase vector plus the
 /// reverse producer and buffer edges flattened into CSR index ranges. All
-/// per-run state (operator states, the event heap, the busy timeline)
+/// per-run state (operator states, the event queue, the busy timeline)
 /// lives in an [`EngineScratch`], so one engine can be run many times —
 /// with different release vectors — without rebuilding or reallocating
 /// anything, and event completion iterates edge slices instead of cloning
@@ -826,7 +829,7 @@ struct EngineRun<'a> {
     topo: &'a TimelineEngine,
     releases: &'a [u64],
     state: &'a mut [OpState],
-    queue: EventQueue,
+    queue: &'a mut EventQueue,
     timeline: BusyTimeline,
     tracks: ResourceTimeline,
     /// When each resource instance frees up, indexed by [`ResourceId`].
@@ -1008,12 +1011,12 @@ impl TimelineEngine {
         );
         scratch.state.clear();
         scratch.state.resize(n, OpState::default());
-        let queue = EventQueue::with_buffer(std::mem::take(&mut scratch.events));
+        scratch.queue.clear();
         let mut run = EngineRun {
             topo: self,
             releases,
             state: &mut scratch.state,
-            queue,
+            queue: &mut scratch.queue,
             timeline: BusyTimeline::default(),
             // Single-chip per-resource tracks duplicate the kind-level
             // timeline record for record, so the hot loop skips them (an
@@ -1044,7 +1047,8 @@ impl TimelineEngine {
         }
         loop {
             // Sampling the queue length right before each pop captures the
-            // true heap peak: the queue only grows between two pops.
+            // true peak of pending events: the queue only grows between
+            // two pops.
             run.counters.heap_peak = run.counters.heap_peak.max(run.queue.len() as u64);
             let Some(ev) = run.queue.pop() else { break };
             run.counters.events_popped += 1;
@@ -1081,8 +1085,6 @@ impl TimelineEngine {
             .collect();
         let mut timeline = run.timeline;
         let mut resource_timeline = run.tracks;
-        // Hand the (drained) event heap back for the next run.
-        scratch.events = run.queue.into_buffer();
         // The SRAM has no blanket busy interval here: the engine layer
         // above maps the allocator's per-segment lifetimes through the
         // scheduled operator spans and records the union of *live* segment

@@ -523,3 +523,33 @@ fn chains_also_satisfy_the_dag_invariants() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// (f): event-loop counters, pinned
+// ---------------------------------------------------------------------
+
+/// FNV-1a of every [`npu_sim::RunCounters`] field of every run, over the
+/// random-DAG corpus (`random_dag(0..NUM_DAG_SEEDS)`) and over the
+/// `CHAIN_GOLDEN` chains, recorded before the event queue split into
+/// lanes. `heap_peak` samples the queue's length, so the digests pin how
+/// many events are pending at every pop, not only the pop order.
+const COUNTER_GOLDEN: (u64, u64) = (0x29E6_7F0B_6B32_7A73, 0xF01A_C7A4_D9C6_87E9);
+
+#[test]
+fn event_loop_counters_match_the_recorded_digests() {
+    let mut dags = Fnv::new();
+    for seed in 0..NUM_DAG_SEEDS {
+        dags.push_counters(&TimelineEngine::new(random_dag(seed)).run().counters);
+    }
+    let mut chains = Fnv::new();
+    for (seed, ..) in CHAIN_GOLDEN {
+        chains.push_counters(&TimelineEngine::new(golden_chain(seed)).run().counters);
+    }
+    assert_eq!(
+        (dags.digest(), chains.digest()),
+        COUNTER_GOLDEN,
+        "event-loop counters drifted (measured: (0x{:016X}, 0x{:016X}))",
+        dags.digest(),
+        chains.digest()
+    );
+}

@@ -19,6 +19,7 @@ use npu_sim::engine::DISPATCH_OVERHEAD_CYCLES;
 use npu_sim::pod::PodBuilder;
 use npu_sim::timeline::TimelineEngine;
 use npu_sim::{Resource, ResourceId, Schedule};
+use regate_bench::Fnv1a as Fnv;
 
 fn torus(kind: TorusKind, chips: usize) -> LinkGraph {
     LinkGraph::torus(&PodTopology::for_chips(kind, chips))
@@ -206,4 +207,23 @@ fn seeded_pod_corpus_passes_the_topo_pass_inside_the_window() {
             window.upper_cycles
         );
     }
+}
+
+/// FNV-1a of every [`npu_sim::RunCounters`] field (per-link busy cycles
+/// included) of every `run_pod(0..16)` run, recorded before the event
+/// queue split into lanes.
+const POD_COUNTER_GOLDEN: u64 = 0x82E4_CC29_8AE1_3EB3;
+
+#[test]
+fn seeded_pod_counters_match_the_recorded_digest() {
+    let mut fnv = Fnv::new();
+    for seed in 0..16u64 {
+        fnv.push_counters(&run_pod(seed).2.counters);
+    }
+    assert_eq!(
+        fnv.digest(),
+        POD_COUNTER_GOLDEN,
+        "pod event-loop counters drifted (measured: 0x{:016X})",
+        fnv.digest()
+    );
 }

@@ -400,3 +400,40 @@ fn low_load_gaps_are_real_idle_intervals_that_the_evaluator_gates() {
         "NoPG must burn leakage through the inter-request gaps"
     );
 }
+
+/// FNV-1a of every [`npu_sim::RunCounters`] field of one cached
+/// `ServingSimulator::run` per (deployment, policy): a 64-request Poisson
+/// trace (mean gap 100k cycles, seed 3) on Llama3-8B decode with two
+/// samples per request and on DLRM-S with 32, each under a static batch
+/// of 4 and a dynamic window of up to 8. Recorded before the event queue
+/// split into lanes.
+const SERVING_COUNTER_GOLDEN: [u64; 4] =
+    [0x60A7_24AE_A73B_11C2, 0x5D1E_B41E_1604_34DB, 0x0FFC_554E_484A_4B1F, 0x7455_A91D_9145_763B];
+
+#[test]
+fn serving_replay_counters_match_the_recorded_digests() {
+    let arrivals =
+        ArrivalProcess::Poisson { mean_interval_cycles: 100_000.0, seed: 3 }.arrivals(64);
+    let deployments = [
+        Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2),
+        Workload::dlrm(DlrmSize::Small).with_batch(SAMPLES_PER_REQUEST),
+    ];
+    let policies = [
+        BatchPolicy::Static { batch: 4 },
+        BatchPolicy::DynamicWindow { max_batch: 8, max_wait_cycles: 50_000 },
+    ];
+    let mut measured = Vec::new();
+    for workload in deployments {
+        let server = ServingSimulator::new(NpuGeneration::D, 1, workload);
+        for policy in &policies {
+            let mut fnv = Fnv::new();
+            fnv.push_counters(server.run(&arrivals, policy).simulation.counters());
+            measured.push(fnv.digest());
+        }
+    }
+    assert_eq!(
+        measured, SERVING_COUNTER_GOLDEN,
+        "serving event-loop counters drifted (measured: {:#018X?})",
+        measured
+    );
+}

@@ -24,6 +24,7 @@
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig, SramGeometry};
 use npu_compiler::{BufferLifetime, Compiler, SramAllocation};
 use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
+use npu_serving::{ArrivalProcess, BatchPolicy, ServingSimulator};
 use npu_sim::timeline::{OpPhases, Resource, TimelineEngine};
 use npu_sim::{CycleInterval, SegmentTimeline, Simulator, SplitMix64 as Rng, SramCapacityReport};
 
@@ -87,6 +88,18 @@ fn random_allocation(rng: &mut Rng, geometry: SramGeometry, n: usize) -> SramAll
     SramAllocation::from_buffers(geometry, buffers, n)
 }
 
+/// The definition `peak_live_bytes` sweeps: the largest instantaneous
+/// live bytes over every live-interval start, one full `live_bytes_at`
+/// scan per start (quadratic, so only for small timelines).
+fn peak_by_definition(tl: &SegmentTimeline) -> u64 {
+    tl.bands()
+        .iter()
+        .flat_map(|b| b.live.iter().map(|iv| iv.start))
+        .map(|at| tl.live_bytes_at(at))
+        .max()
+        .unwrap_or(0)
+}
+
 fn check_segment_invariants(tl: &SegmentTimeline, capacity_bytes: u64, label: &str) {
     let makespan = tl.makespan();
     let mut prev_end = 0usize;
@@ -117,6 +130,7 @@ fn check_segment_invariants(tl: &SegmentTimeline, capacity_bytes: u64, label: &s
     // segments that tile the scratchpad — so the corpus pairs it with the
     // *allocator-dominance* cross-checks below, which a builder bug
     // (lifetimes mapped onto the wrong operators' spans) does break.
+    assert_eq!(tl.peak_live_bytes(), peak_by_definition(tl), "{label}: peak sweep");
     assert!(
         tl.peak_live_bytes() <= capacity_bytes,
         "{label}: peak live bytes {} exceed capacity {capacity_bytes}",
@@ -240,6 +254,33 @@ fn full_pipeline_segment_timelines_satisfy_the_invariants() {
                 timing.name,
                 timing.sram_live_bytes
             );
+        }
+    }
+}
+
+#[test]
+fn serving_trace_peaks_match_the_definition() {
+    // Serving traces carry thousands of live intervals across many bands,
+    // unlike the single-batch runs above. 16 requests keep the quadratic
+    // definition cheap in debug builds.
+    let arrivals =
+        ArrivalProcess::Poisson { mean_interval_cycles: 100_000.0, seed: 5 }.arrivals(16);
+    for workload in [
+        Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2),
+        Workload::dlrm(DlrmSize::Small).with_batch(32),
+    ] {
+        let server = ServingSimulator::new(NpuGeneration::D, 1, workload);
+        for policy in [
+            BatchPolicy::Static { batch: 4 },
+            BatchPolicy::DynamicWindow { max_batch: 8, max_wait_cycles: 50_000 },
+        ] {
+            let label = format!("{} / {}", workload.label(), policy.label());
+            let outcome = server.run(&arrivals, &policy);
+            let tl = outcome.simulation.segment_timeline();
+            assert!(tl.bands().len() > 1, "{label}: a single band exercises no sum");
+            check_segment_invariants(tl, outcome.simulation.chip().spec().sram_bytes(), &label);
+            let report = SramCapacityReport::for_simulation(&outcome.simulation);
+            assert_eq!(report.peak_live_bytes, peak_by_definition(tl), "{label}");
         }
     }
 }
