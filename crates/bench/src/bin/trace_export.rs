@@ -21,7 +21,7 @@ use npu_power::{ComponentGating, EnergyBreakdown, GatingParams, PowerModel, Powe
 use npu_power::{SramGateMode, NPU_DUTY_CYCLE};
 use npu_serving::{ArrivalProcess, BatchPolicy, ServingSimulator};
 use npu_sim::pod::pipeline_trace;
-use npu_sim::{EngineScratch, ResourceTimeline, TraceRecorder};
+use npu_sim::{EngineScratch, TraceRecorder};
 use regate_bench::{kv, section};
 
 fn main() {
@@ -175,10 +175,13 @@ fn serving_export(out_dir: &str) {
     kv("trace slices", recorder.num_slices());
     kv("batch cache", format!("{:?}", outcome.cache));
 
-    let timeline = ResourceTimeline::single_chip_view(outcome.simulation.busy_timeline());
     assert_clean(
         "serving trace",
-        &npu_sim::analysis::check_trace_export(&recorder, &timeline, outcome.makespan_cycles()),
+        &npu_sim::analysis::check_trace_export(
+            &recorder,
+            outcome.simulation.resource_timeline(),
+            outcome.makespan_cycles(),
+        ),
     );
 
     let trace_path = format!("{out_dir}/TRACE_serving.json");

@@ -169,10 +169,10 @@ pub mod rules {
     /// link count), so phase link ids and fabric links cannot correspond
     /// (deny).
     pub const TOPO_CHIP_COUNT_MISMATCH: &str = "topo.chip-count-mismatch";
-    /// A lowered collective phase disagrees with the fabric: a link id
-    /// outside the resource set, a link set that is not the collective
-    /// ring the graph routes, or per-hop step cycles that do not sum to
-    /// the phase's transfer (deny).
+    /// A lowered collective phase disagrees with the fabric: no link at
+    /// all, a link id outside the resource set, a link set that is not
+    /// the collective ring the graph routes, or per-hop step cycles that
+    /// do not sum to the phase's transfer (deny).
     pub const TOPO_COLLECTIVE_LINKS_MISMATCH: &str = "topo.collective-links-mismatch";
     /// No valid parallelism configuration exists for the requested
     /// (workload, chip count) — the evaluation would have to fabricate
@@ -971,10 +971,11 @@ pub fn check_pod_consistency(set: &ResourceSet, graph: &LinkGraph) -> Vec<Diagno
 }
 
 /// Checks every lowered collective phase against the fabric it claims to
-/// run on: link ids must name link resources of the set, the link set
-/// must be exactly the fabric's collective-ring links, and the per-hop
-/// step cycles must sum to the phase's transfer. Spans are phase-vector
-/// positions.
+/// run on: the phase must occupy at least one link (a collective's busy
+/// time lives only on its links, see [`OpPhases::collective`]), link ids
+/// must name link resources of the set, the link set must be exactly the
+/// fabric's collective-ring links, and the per-hop step cycles must sum
+/// to the phase's transfer. Spans are phase-vector positions.
 #[must_use]
 pub fn check_collective_phases(
     phases: &[OpPhases],
@@ -1010,13 +1011,13 @@ pub fn check_collective_phases(
         }
         used.sort_unstable();
         used.dedup();
-        if in_range && used != ring {
+        if in_range && (used.is_empty() || used != ring) {
             findings.push(Diagnostic::deny(
                 rules::TOPO_COLLECTIVE_LINKS_MISMATCH,
                 Some(OpSpan::single(k)),
                 format!(
-                    "phase {k}: collective occupies links {used:?} but the fabric's \
-                     collective ring routes over {ring:?}"
+                    "phase {k}: collective occupies links {used:?}, but it must occupy at least \
+                     one link and exactly the fabric's collective ring {ring:?}"
                 ),
             ));
         }

@@ -1,6 +1,7 @@
 //! The simulator engine: executes a compiled graph on one chip of a
-//! deployment and produces per-operator timings, a per-component busy
-//! timeline on the global clock, and the aggregated component activity.
+//! deployment and produces per-operator timings, the per-resource busy
+//! tracks on the global clock, and the per-component busy timeline and
+//! activity derived from them.
 //!
 //! Since the event-timeline rewrite the engine no longer walks anchors
 //! serially: each operator's phase durations are computed analytically
@@ -28,8 +29,8 @@ use crate::activity::ComponentActivity;
 use crate::observer::{NullObserver, SimObserver};
 use crate::segments::SegmentTimeline;
 use crate::timeline::{
-    BusyTimeline, EngineScratch, IdleHistogram, OpPhases, Resource, ResourceSet, RunCounters,
-    ScheduledOp, TimelineEngine,
+    BusyTimeline, EngineScratch, IdleHistogram, OpPhases, Resource, ResourceSet, ResourceTimeline,
+    RunCounters, ScheduledOp, TimelineEngine,
 };
 use crate::timing::OpTiming;
 
@@ -88,8 +89,8 @@ impl Simulator {
     }
 
     /// Runs a compiled graph and returns the per-anchor records and
-    /// schedule, the merged per-component busy timeline, and the
-    /// aggregated activity.
+    /// schedule, the per-resource busy tracks, and the merged
+    /// per-component busy timeline.
     /// Every operator is ready at cycle 0 (the single-batch view);
     /// see [`Simulator::run_with_releases`] for arrival-driven serving.
     #[must_use]
@@ -126,7 +127,7 @@ impl Simulator {
     /// Profiles, allocates, and builds the timeline engine for a compiled
     /// graph **once**, returning a [`PreparedSimulator`] that can replay
     /// the graph against many release vectors. Per replay only the event
-    /// loop, the span-to-clock segment mapping, and the busy-timeline
+    /// loop, the span-to-clock segment mapping, and the busy-track
     /// finalization run — the per-anchor profiling, SRAM allocation
     /// sweep, dependency flattening, and the shared per-anchor records
     /// are all paid here. This is the compile-once/run-many path the
@@ -211,9 +212,6 @@ impl Simulator {
 
         let mut sa_active = 0u64;
         let mut sa_spatial = 0.0f64;
-        let mut vu_active = 0u64;
-        let mut hbm_active = 0u64;
-        let mut ici_active = 0u64;
         let mut fused_vu = 0u64;
 
         // Streamed HBM prefetch of the operator's operands: transfer time
@@ -251,17 +249,12 @@ impl Simulator {
                 let peak_macs = sa_active as f64 * sas_used as f64 * (w * w) as f64;
                 sa_spatial = ((op.op.flops() / 2.0) / peak_macs).min(1.0);
                 // Fused vector post-processing overlaps with the SA drain.
-                let fused_cycles = (op.fused_vu_elements as f64 / vu_total_per_cycle).ceil() as u64;
-                vu_active = fused_cycles;
-                fused_vu = fused_cycles;
-                hbm_active = hbm_cycles;
+                fused_vu = (op.fused_vu_elements as f64 / vu_total_per_cycle).ceil() as u64;
                 (Resource::Sa, sa_cycles, hbm_cycles, hbm_lead)
             }
             ExecutionUnit::Vu => {
                 let flops = op.op.flops() + op.fused_vu_flops;
                 let vu_cycles = ((flops / vu_total_per_cycle).ceil() as u64).max(1);
-                vu_active = vu_cycles;
-                hbm_active = hbm_cycles;
                 (Resource::Vu, vu_cycles, hbm_cycles, hbm_lead)
             }
             ExecutionUnit::Hbm => {
@@ -271,7 +264,6 @@ impl Simulator {
                 let bytes = op.tile.hbm_bytes as f64;
                 let cycles =
                     (bytes / (hbm_bpc * GATHER_EFFICIENCY)).ceil() as u64 + hbm_latency_cycles;
-                hbm_active = cycles;
                 (Resource::HbmDma, cycles, 0, 0)
             }
             ExecutionUnit::Ici => {
@@ -301,9 +293,7 @@ impl Simulator {
                     },
                     _ => 0.0,
                 };
-                let cycles = spec.seconds_to_cycles(seconds);
-                ici_active = cycles;
-                (Resource::Ici, cycles, 0, 0)
+                (Resource::Ici, spec.seconds_to_cycles(seconds), 0, 0)
             }
         };
 
@@ -331,9 +321,6 @@ impl Simulator {
             serial_duration_cycles: serial,
             sa_active_cycles: sa_active.min(serial),
             sa_spatial_utilization: sa_spatial,
-            vu_active_cycles: vu_active.min(serial),
-            hbm_active_cycles: hbm_active.min(serial),
-            ici_active_cycles: ici_active.min(serial),
             hbm_bytes: op.tile.hbm_bytes,
             ici_bytes: op.op.ici_bytes(),
             flops: op.op.flops() + op.fused_vu_flops,
@@ -353,11 +340,11 @@ impl Simulator {
 /// result shares — the [`OpTiming`]s, the producer lists and the SA
 /// spatial weight — built once behind `Arc`s. Replaying against a new
 /// release vector ([`PreparedSimulator::run_with_scratch`]) pays only the
-/// event loop, the clock mapping and the busy-timeline finalization, and
+/// event loop, the clock mapping and the busy-track finalization, and
 /// the result it returns holds new allocations only for what the release
-/// vector changes: the schedule, the busy timeline and the segment
-/// intervals. That is what makes a serving sweep over repeated batch
-/// shapes cheap.
+/// vector changes: the schedule, the resource tracks with their derived
+/// component timeline, and the segment intervals. That is what makes a
+/// serving sweep over repeated batch shapes cheap.
 #[derive(Debug)]
 pub struct PreparedSimulator {
     chip: ChipConfig,
@@ -528,23 +515,16 @@ impl PreparedSimulator {
             &releases,
         );
         let mut timeline = schedule.timeline;
-        for iv in segments.live_union() {
-            timeline.record(ComponentKind::Sram, iv.start, iv.end);
-        }
-        timeline.finalize();
-        let activity = ComponentActivity::from_timeline(
-            &timeline,
-            schedule.makespan,
-            self.sa_weighted_spatial,
-        );
+        timeline.insert_finalized(ComponentKind::Sram, segments.live_union());
         SimulationResult {
             chip: self.chip.clone(),
             timings: Arc::clone(&self.timings),
             anchor_producers: Arc::clone(&self.anchor_producers),
             schedule: schedule.ops,
             releases,
-            activity,
+            sa_weighted_spatial: self.sa_weighted_spatial,
             timeline,
+            resource_timeline: schedule.resource_timeline,
             segments,
             makespan_cycles: schedule.makespan,
             work: self.work,
@@ -572,8 +552,11 @@ pub struct SimulationResult {
     /// `releases[k]`: earliest cycle anchor `k` was allowed to issue (all
     /// zeros for a cycle-0 batch run).
     releases: Vec<u64>,
-    activity: ComponentActivity,
+    /// The activity's SA spatial weight (see `PreparedSimulator`).
+    sa_weighted_spatial: f64,
     timeline: BusyTimeline,
+    /// The engine's per-resource tracks, moved out of the schedule.
+    resource_timeline: ResourceTimeline,
     segments: SegmentTimeline,
     makespan_cycles: u64,
     /// Work totals of the prepared graph, busy time left at zero.
@@ -633,16 +616,29 @@ impl SimulationResult {
         self.releases.get(index).copied().unwrap_or(0)
     }
 
-    /// Aggregated per-component activity.
+    /// Aggregated per-component activity, derived from
+    /// [`SimulationResult::busy_timeline`] on each call.
     #[must_use]
-    pub fn activity(&self) -> &ComponentActivity {
-        &self.activity
+    pub fn activity(&self) -> ComponentActivity {
+        ComponentActivity::from_timeline(
+            &self.timeline,
+            self.makespan_cycles,
+            self.sa_weighted_spatial,
+        )
     }
 
     /// Merged per-component busy intervals on the global clock.
     #[must_use]
     pub fn busy_timeline(&self) -> &BusyTimeline {
         &self.timeline
+    }
+
+    /// The engine's finalized busy tracks per unit of the chip, which
+    /// [`SimulationResult::busy_timeline`] is derived from (plus the
+    /// SRAM's live segments) and trace exports are checked against.
+    #[must_use]
+    pub fn resource_timeline(&self) -> &ResourceTimeline {
+        &self.resource_timeline
     }
 
     /// Event-loop counters of the run that produced this result: events
@@ -906,7 +902,6 @@ mod tests {
         for (t, s) in result.timings().iter().zip(result.schedule()) {
             assert!(s.span_cycles() >= DISPATCH_OVERHEAD_CYCLES);
             assert!(t.sa_active_cycles <= s.span_cycles());
-            assert!(t.hbm_active_cycles <= s.span_cycles());
             assert!(s.main_start >= s.span_start());
         }
     }

@@ -19,9 +19,11 @@
 //! intra-operator double-buffering idealization) — so the double-buffered
 //! DMA stream of operator `k+1` overlaps the compute of operator `k`,
 //! independent subgraphs (DLRM's per-table gathers, the chains of a
-//! multi-request batch) overlap freely, and the result carries merged
-//! per-component busy intervals ([`SimulationResult::busy_timeline`])
-//! plus an idle-interval histogram
+//! multi-request batch) overlap freely. The engine records each busy
+//! interval once, per resource instance
+//! ([`SimulationResult::resource_timeline`]); the result derives merged
+//! per-component busy intervals from those tracks
+//! ([`SimulationResult::busy_timeline`]) plus an idle-interval histogram
 //! ([`SimulationResult::idle_histogram`]) for interval-accurate gating.
 //!
 //! ## Example

@@ -20,7 +20,9 @@ use serde::{Deserialize, Serialize};
 
 use npu_compiler::{SegmentLifetime, SramAllocation};
 
-use crate::timeline::{complement_intervals, merge_intervals, CycleInterval, ScheduledOp};
+use crate::timeline::{
+    complement_intervals, merge_intervals, union_sorted, CycleInterval, ScheduledOp,
+};
 
 /// A run of consecutive SRAM segments sharing one live-interval list.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -286,13 +288,11 @@ impl SegmentTimeline {
 
     /// Merged union of every segment's live intervals: the cycles during
     /// which *any* part of the scratchpad holds live data — the SRAM's
-    /// busy track on the component timeline.
+    /// busy track on the component timeline. Each band's finalized list
+    /// folds in with one linear merge.
     #[must_use]
     pub fn live_union(&self) -> Vec<CycleInterval> {
-        let mut union: Vec<CycleInterval> =
-            self.bands.iter().flat_map(|b| b.live.iter().copied()).collect();
-        merge_intervals(&mut union);
-        union
+        self.bands.iter().fold(Vec::new(), |union, b| union_sorted(union, &b.live))
     }
 }
 

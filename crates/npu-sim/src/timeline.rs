@@ -11,9 +11,13 @@
 //! `k+1`'s operands into the second SRAM buffer, and the prefetch of
 //! operator `k+2` waits until operator `k` releases its buffer.
 //!
-//! The output is a [`Schedule`]: per-operator phase times plus a
-//! [`BusyTimeline`] of merged `[start, end)` busy intervals per component
-//! on the global clock. Gating analyses walk the *gaps* of that timeline
+//! The output is a [`Schedule`]: per-operator phase times plus merged
+//! `[start, end)` busy intervals on the global clock. The engine records
+//! each interval once, on the [`ResourceTimeline`] track of the unit or
+//! link it occupied (a single chip is the 1-chip case); the per-component
+//! [`BusyTimeline`] is derived from those tracks at the end of a run
+//! ([`BusyTimeline::from_resources`]). Gating analyses walk the *gaps* of
+//! these timelines
 //! ([`BusyTimeline::idle_intervals`], [`IdleHistogram`]) instead of
 //! aggregate busy-cycle counts, which is what makes break-even filtering
 //! and wake-up latency hiding representable (paper §4–§6).
@@ -261,15 +265,15 @@ impl CycleInterval {
     }
 }
 
-/// Sorts and merges intervals in place into a disjoint, sorted sequence
-/// (overlapping and abutting intervals coalesce). Shared by the
-/// per-component busy tracks and the per-segment SRAM timeline.
+/// Sorts and merges raw records in place into a *finalized* sequence:
+/// sorted, disjoint, non-abutting (overlapping and abutting intervals
+/// coalesce). Unions of finalized lists use `union_sorted` instead.
 ///
 /// Allocation-free: coalescing happens behind a write cursor, and the sort
 /// is skipped entirely when the input is already ordered — which
-/// schedule-order recording guarantees for most tracks (the HBM track can
-/// interleave prefetch-channel and demand-channel records out of order, so
-/// the sortedness check is mandatory, not just an optimization).
+/// schedule-order recording guarantees for most tracks (the HBM-DMA track
+/// can interleave prefetch-channel and demand-channel records out of
+/// order, so the sortedness check is mandatory, not just an optimization).
 pub(crate) fn merge_intervals(list: &mut Vec<CycleInterval>) {
     if list.len() < 2 {
         return;
@@ -289,6 +293,44 @@ pub(crate) fn merge_intervals(list: &mut Vec<CycleInterval>) {
         }
     }
     list.truncate(write + 1);
+}
+
+/// Whether a list is finalized: non-empty, sorted, non-abutting intervals.
+fn is_finalized(list: &[CycleInterval]) -> bool {
+    list.iter().all(|iv| iv.start < iv.end) && list.windows(2).all(|w| w[0].end < w[1].start)
+}
+
+/// Merged union of two finalized lists (see [`merge_intervals`]) in one
+/// linear two-pointer pass; both inputs must be finalized (debug
+/// asserted). Abutting intervals coalesce as in [`merge_intervals`], and a
+/// union of half-open intervals has one finalized form, so the result
+/// equals sort-and-coalesce of the concatenation, and unions fold. `a` is
+/// the fold's accumulator, taken by value so an empty side costs no copy.
+pub(crate) fn union_sorted(a: Vec<CycleInterval>, b: &[CycleInterval]) -> Vec<CycleInterval> {
+    debug_assert!(is_finalized(&a) && is_finalized(b), "union_sorted needs finalized inputs");
+    if b.is_empty() {
+        return a;
+    }
+    if a.is_empty() {
+        return b.to_vec();
+    }
+    let mut out: Vec<CycleInterval> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        // Take the front that starts first (`a` on ties).
+        let next = if j == b.len() || (i < a.len() && a[i].start <= b[j].start) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        match out.last_mut() {
+            Some(last) if next.start <= last.end => last.end = last.end.max(next.end),
+            _ => out.push(next),
+        }
+    }
+    out
 }
 
 /// The idle gaps complementing a disjoint, sorted interval list over
@@ -312,13 +354,53 @@ pub(crate) fn complement_intervals(
 }
 
 /// Merged, sorted, disjoint busy intervals per component on the global
-/// clock — the timeline the interval-accurate gating model walks.
+/// clock — the timeline the interval-accurate gating model walks, derived
+/// from a run's per-resource tracks ([`BusyTimeline::from_resources`]).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct BusyTimeline {
     intervals: BTreeMap<ComponentKind, Vec<CycleInterval>>,
 }
 
 impl BusyTimeline {
+    /// The component view of a run's finalized per-resource tracks over
+    /// `[0, makespan)`, and the one place that maps resources to kinds:
+    /// SA, VU and HBM-DMA units to `Sa`, `Vu` and `Hbm`; chip ICI units
+    /// and fabric links to `Ici`; HBM-DMA and chip ICI units to `Dma`
+    /// (collectives never touch the DMA engine); `Other` is always on.
+    /// Each kind is a linear union of tracks, and a kind never busy gets
+    /// no entry. The prepared simulator adds the SRAM's segment track.
+    #[must_use]
+    pub fn from_resources(tracks: &ResourceTimeline, set: &ResourceSet, makespan: u64) -> Self {
+        let units = |kinds: &[Resource]| -> Vec<ResourceId> {
+            (0..set.num_chips()).flat_map(|c| kinds.iter().map(move |&k| set.unit(c, k))).collect()
+        };
+        let mut ici = units(&[Resource::Ici]);
+        ici.extend((0..set.num_links()).map(|l| set.link(l)));
+        let mut timeline = BusyTimeline::default();
+        for (kind, ids) in [
+            (ComponentKind::Sa, units(&[Resource::Sa])),
+            (ComponentKind::Vu, units(&[Resource::Vu])),
+            (ComponentKind::Hbm, units(&[Resource::HbmDma])),
+            (ComponentKind::Dma, units(&[Resource::HbmDma, Resource::Ici])),
+            (ComponentKind::Ici, ici),
+        ] {
+            timeline.insert_finalized(kind, tracks.union_intervals(&ids));
+        }
+        if makespan > 0 {
+            let always_on = vec![CycleInterval { start: 0, end: makespan }];
+            timeline.insert_finalized(ComponentKind::Other, always_on);
+        }
+        timeline
+    }
+
+    /// Stores a finalized list as one kind's track (none if empty).
+    pub(crate) fn insert_finalized(&mut self, kind: ComponentKind, list: Vec<CycleInterval>) {
+        debug_assert!(is_finalized(&list), "{kind:?}: track is not finalized");
+        if !list.is_empty() {
+            self.intervals.insert(kind, list);
+        }
+    }
+
     /// Records a raw (possibly overlapping) busy interval. Call
     /// [`BusyTimeline::finalize`] once after recording everything.
     pub fn record(&mut self, kind: ComponentKind, start: u64, end: u64) {
@@ -363,10 +445,7 @@ impl BusyTimeline {
     /// schedule, instead of assuming the paper's fleet-average scalar.
     #[must_use]
     pub fn union_intervals(&self, kinds: &[ComponentKind]) -> Vec<CycleInterval> {
-        let mut all: Vec<CycleInterval> =
-            kinds.iter().flat_map(|&k| self.intervals(k).iter().copied()).collect();
-        merge_intervals(&mut all);
-        all
+        kinds.iter().fold(Vec::new(), |union, &k| union_sorted(union, self.intervals(k)))
     }
 
     /// Total cycles in which at least one of the given components is busy.
@@ -391,11 +470,11 @@ impl BusyTimeline {
 }
 
 /// Merged, sorted, disjoint busy intervals per resource *instance* — the
-/// per-chip / per-link companion of the kind-level [`BusyTimeline`]. On a
-/// pod schedule the kind tracks merge every chip's activity into one view
-/// (good for fleet-level energy), while these tracks keep each SA, each
-/// DMA queue, and each ICI link separate so link-level gating and
-/// whole-chip idleness can be read off directly.
+/// one store the engine records into, for every [`ResourceSet`] including
+/// the single chip. Each SA, VU, HBM-DMA queue, chip ICI port and fabric
+/// link keeps its own track, so link-level gating and whole-chip idleness
+/// read off directly; the kind-level [`BusyTimeline`] that merges every
+/// chip's activity of a kind is derived from them.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ResourceTimeline {
     tracks: Vec<Vec<CycleInterval>>,
@@ -413,24 +492,6 @@ impl ResourceTimeline {
     pub fn record(&mut self, id: ResourceId, start: u64, end: u64) {
         if end > start && id.index() < self.tracks.len() {
             self.tracks[id.index()].push(CycleInterval { start, end });
-        }
-    }
-
-    /// The single-chip tracks, derived from the kind-level timeline
-    /// instead of recorded live. On a [`ResourceSet::single_chip`] run
-    /// every `tracks.record` call pairs with a `timeline.record` of the
-    /// unit's kind (the HBM-DMA unit with [`ComponentKind::Hbm`]), so the
-    /// merged per-resource tracks are *identical* to the component tracks
-    /// — deriving them after the fact keeps the doubled interval
-    /// recording off the single-chip event loop, which is the serving
-    /// replay hot path.
-    #[must_use]
-    pub fn single_chip_view(timeline: &BusyTimeline) -> Self {
-        ResourceTimeline {
-            tracks: [ComponentKind::Sa, ComponentKind::Vu, ComponentKind::Hbm, ComponentKind::Ici]
-                .iter()
-                .map(|&kind| timeline.intervals(kind).to_vec())
-                .collect(),
         }
     }
 
@@ -470,10 +531,7 @@ impl ResourceTimeline {
     /// Merged union of several resources' busy intervals.
     #[must_use]
     pub fn union_intervals(&self, ids: &[ResourceId]) -> Vec<CycleInterval> {
-        let mut all: Vec<CycleInterval> =
-            ids.iter().flat_map(|&id| self.track(id).iter().copied()).collect();
-        merge_intervals(&mut all);
-        all
+        ids.iter().fold(Vec::new(), |union, &id| union_sorted(union, self.track(id)))
     }
 
     /// The gaps over `[0, total_cycles)` in which none of the given
@@ -618,9 +676,10 @@ pub struct OpPhases {
     /// Per-hop link occupation of a lowered collective. `None` (every
     /// single-chip operator, and analytic collectives) issues the main
     /// phase on `unit` alone; `Some` gang-issues the whole link set for
-    /// `main_cycles` (which must equal the schedule's step sum). Boxed to
-    /// keep the common no-collective `OpPhases` small — the phase vector
-    /// is the engine's hottest working set.
+    /// `main_cycles` (which must equal the schedule's step sum), and
+    /// occupies exactly those links — none means busy nowhere, which the
+    /// analyzer denies. Boxed to keep the common no-collective `OpPhases`
+    /// small — the phase vector is the engine's hottest working set.
     pub collective: Option<Box<CollectiveSchedule>>,
     /// Indices of the operators whose completion this operator's main
     /// phase must wait for (an empty set marks a source). Every index must
@@ -727,13 +786,14 @@ pub struct Schedule {
     pub ops: Vec<ScheduledOp>,
     /// Completion time of the last phase (total execution length).
     pub makespan: u64,
-    /// Merged per-component busy intervals (finalized). On pod runs every
-    /// chip's activity of a kind merges into the one kind track.
+    /// Merged per-component busy intervals (finalized), derived from
+    /// `resource_timeline` by [`BusyTimeline::from_resources`]. On pod
+    /// runs every chip's activity of a kind merges into the one kind track.
     pub timeline: BusyTimeline,
     /// The resource set the schedule was produced against.
     pub resources: ResourceSet,
     /// Per-resource-instance busy tracks (finalized) — one per chip unit
-    /// and one per ICI link.
+    /// and one per ICI link: the store the engine records into.
     pub resource_timeline: ResourceTimeline,
     /// Event-loop counters of the run that produced the schedule.
     #[serde(default)]
@@ -830,7 +890,7 @@ struct EngineRun<'a> {
     releases: &'a [u64],
     state: &'a mut [OpState],
     queue: &'a mut EventQueue,
-    timeline: BusyTimeline,
+    /// Raw busy records per resource instance, finalized after the loop.
     tracks: ResourceTimeline,
     /// When each resource instance frees up, indexed by [`ResourceId`].
     free_at: Vec<u64>,
@@ -1017,16 +1077,7 @@ impl TimelineEngine {
             releases,
             state: &mut scratch.state,
             queue: &mut scratch.queue,
-            timeline: BusyTimeline::default(),
-            // Single-chip per-resource tracks duplicate the kind-level
-            // timeline record for record, so the hot loop skips them (an
-            // empty-track `ResourceTimeline` drops every `record`) and the
-            // view is derived from the merged component tracks below.
-            tracks: if self.resources == ResourceSet::single_chip() {
-                ResourceTimeline::default()
-            } else {
-                ResourceTimeline::for_set(&self.resources)
-            },
+            tracks: ResourceTimeline::for_set(&self.resources),
             free_at: vec![0; self.resources.num_resources()],
             prefetch_free: vec![0; self.resources.num_chips()],
             counters: RunCounters::for_set(&self.resources),
@@ -1083,20 +1134,13 @@ impl TimelineEngine {
                 finish: s.finish,
             })
             .collect();
-        let mut timeline = run.timeline;
         let mut resource_timeline = run.tracks;
+        resource_timeline.finalize();
         // The SRAM has no blanket busy interval here: the engine layer
         // above maps the allocator's per-segment lifetimes through the
-        // scheduled operator spans and records the union of *live* segment
-        // intervals instead (see `Simulator::run`). Peripheral logic is
-        // genuinely always on.
-        timeline.record(ComponentKind::Other, 0, makespan);
-        timeline.finalize();
-        if self.resources == ResourceSet::single_chip() {
-            resource_timeline = ResourceTimeline::single_chip_view(&timeline);
-        } else {
-            resource_timeline.finalize();
-        }
+        // scheduled operator spans and adds the union of *live* segment
+        // intervals instead (see `Simulator::run`).
+        let timeline = BusyTimeline::from_resources(&resource_timeline, &self.resources, makespan);
         Schedule {
             ops,
             makespan,
@@ -1167,8 +1211,6 @@ impl EngineRun<'_> {
         self.prefetch_free[chip] = end;
         self.state[op].dma_start = start;
         self.state[op].dma_end = end;
-        self.timeline.record(ComponentKind::Hbm, start, end);
-        self.timeline.record(ComponentKind::Dma, start, end);
         self.tracks.record(self.topo.resources.unit(chip, Resource::HbmDma), start, end);
         obs.dma_transfer(op, chip, start, end);
         self.queue.schedule(start + lead_cycles, EventKind::DmaLeadArrived { op });
@@ -1207,7 +1249,6 @@ impl EngineRun<'_> {
         match self.topo.resources.kind(unit) {
             Resource::Sa => {
                 let sa_end = active_start + sa_active_cycles.min(main_cycles);
-                self.timeline.record(ComponentKind::Sa, active_start, sa_end);
                 self.tracks.record(unit, active_start, sa_end);
                 obs.resource_busy(unit, op, active_start, sa_end);
                 if fused_vu_cycles > 0 {
@@ -1222,27 +1263,13 @@ impl EngineRun<'_> {
                     let vu = self.topo.resources.unit(chip, Resource::Vu);
                     let fused_start = active_start.max(self.resource_free(vu));
                     let fused_end = fused_start + fused_vu_cycles;
-                    self.timeline.record(ComponentKind::Vu, fused_start, fused_end);
                     self.tracks.record(vu, fused_start, fused_end);
                     obs.resource_busy(vu, op, fused_start, fused_end);
                     self.free_at[vu.index()] = fused_end;
                     end = end.max(fused_end);
                 }
             }
-            Resource::Vu => {
-                self.timeline.record(ComponentKind::Vu, active_start, unit_end);
-                self.tracks.record(unit, active_start, unit_end);
-                obs.resource_busy(unit, op, active_start, unit_end);
-            }
-            Resource::HbmDma => {
-                self.timeline.record(ComponentKind::Hbm, active_start, unit_end);
-                self.timeline.record(ComponentKind::Dma, active_start, unit_end);
-                self.tracks.record(unit, active_start, unit_end);
-                obs.resource_busy(unit, op, active_start, unit_end);
-            }
-            Resource::Ici => {
-                self.timeline.record(ComponentKind::Ici, active_start, unit_end);
-                self.timeline.record(ComponentKind::Dma, active_start, unit_end);
+            Resource::Vu | Resource::HbmDma | Resource::Ici => {
                 self.tracks.record(unit, active_start, unit_end);
                 obs.resource_busy(unit, op, active_start, unit_end);
             }
@@ -1279,7 +1306,6 @@ impl EngineRun<'_> {
             }
         }
         obs.collective_start(op, &c.links, active_start, end);
-        self.timeline.record(ComponentKind::Ici, active_start, end);
         self.state[op].main_start = start;
         self.state[op].main_end = end;
         self.queue.schedule(end, EventKind::MainComplete { op });
@@ -1672,6 +1698,51 @@ mod tests {
         assert_eq!(tl.union_busy_cycles(&[ComponentKind::Ici]), 0);
     }
 
+    /// A seeded finalized list over a small clock, so two lists overlap,
+    /// nest and abut often: sorted, with a gap of at least one cycle
+    /// between neighbours.
+    fn finalized_list(rng: &mut crate::rng::SplitMix64) -> Vec<CycleInterval> {
+        let mut list = Vec::new();
+        let mut end = rng.range(0, 10);
+        for _ in 0..rng.range(0, 12) {
+            let start = end + rng.range(1, 8);
+            end = start + rng.range(1, 12);
+            list.push(CycleInterval { start, end });
+        }
+        list
+    }
+
+    #[test]
+    fn union_sorted_matches_sort_and_coalesce() {
+        let reference = |a: &[CycleInterval], b: &[CycleInterval]| {
+            let mut all = [a, b].concat();
+            merge_intervals(&mut all);
+            all
+        };
+        let iv = |start, end| CycleInterval { start, end };
+        let cases = [
+            (vec![iv(0, 10)], vec![iv(10, 20)]),
+            (vec![iv(0, 5), iv(10, 15)], vec![iv(5, 10)]),
+            (vec![iv(0, 100)], vec![iv(10, 20), iv(30, 40)]),
+            (vec![iv(5, 9), iv(20, 30)], vec![iv(5, 9), iv(20, 30)]),
+            (vec![], vec![iv(1, 2)]),
+            (vec![], vec![]),
+        ];
+        for (a, b) in &cases {
+            assert_eq!(union_sorted(a.clone(), b), reference(a, b), "{a:?} | {b:?}");
+            assert_eq!(union_sorted(b.clone(), a), reference(a, b), "{b:?} | {a:?}");
+        }
+        assert_eq!(union_sorted(vec![iv(0, 10)], &[iv(10, 20)]), vec![iv(0, 20)], "abutting");
+        for seed in 0..500 {
+            let mut rng = crate::rng::SplitMix64::new(seed);
+            let a = finalized_list(&mut rng);
+            let b = if seed % 10 == 0 { a.clone() } else { finalized_list(&mut rng) };
+            let union = union_sorted(a.clone(), &b);
+            assert_eq!(union, reference(&a, &b), "seed {seed}");
+            assert_eq!(union_sorted(b, &a), union, "seed {seed}: not symmetric");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "not a topological order")]
     fn forward_producer_edges_are_rejected() {
@@ -1781,11 +1852,11 @@ mod tests {
 
     #[test]
     fn single_chip_resource_tracks_mirror_the_component_timeline() {
-        // Single-chip runs derive the per-resource tracks from the
-        // kind-level timeline instead of recording them live (the hot
-        // loop skips the doubled recording); the published equivalence —
-        // unit track == component track — must hold on a schedule that
-        // exercises every unit kind plus a fused VU tail.
+        // Single-chip runs record the per-resource tracks live, like pods,
+        // and derive the kind-level timeline from them; on one chip the
+        // published equivalence — unit track == component track — must
+        // hold on a schedule that exercises every unit kind plus a fused
+        // VU tail.
         let mut sa = sa_op(800, 400);
         sa.fused_vu_cycles = 300;
         let gather = gather_op(500);

@@ -11,8 +11,10 @@ use npu_models::ExecutionUnit;
 /// shares them ([`crate::SimulationResult::timings`]); *when* the
 /// operator ran is the release-dependent half, the
 /// [`crate::timeline::ScheduledOp`] at the same index of
-/// [`crate::SimulationResult::schedule`]. Active-cycle counts are the
-/// operator's own phase lengths, clamped to its serial cost.
+/// [`crate::SimulationResult::schedule`]. The SA active-cycle count is the
+/// operator's own SA phase length, clamped to its serial cost; a run's
+/// busy time per unit lives in its resource tracks
+/// ([`crate::SimulationResult::resource_timeline`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpTiming {
     /// Anchor position of the operator: its index in
@@ -33,12 +35,6 @@ pub struct OpTiming {
     /// systolic arrays were active (the paper's SA *spatial* utilization,
     /// Figure 5). Zero when the SA was unused.
     pub sa_spatial_utilization: f64,
-    /// Cycles during which at least one vector unit was computing.
-    pub vu_active_cycles: u64,
-    /// Cycles during which the HBM interface / DMA engine was transferring.
-    pub hbm_active_cycles: u64,
-    /// Cycles during which the ICI links were transferring.
-    pub ici_active_cycles: u64,
     /// Bytes moved over HBM by this operator.
     pub hbm_bytes: u64,
     /// Bytes moved over the ICI by this operator.

@@ -521,6 +521,14 @@ fn topo_collective_links_mismatch_is_denied() {
     // The untouched lowering is clean.
     let diagnostics = analysis::check_collective_phases(builder.phases(), &set, &graph);
     assert_no_rule(&diagnostics, rules::TOPO_COLLECTIVE_LINKS_MISMATCH);
+
+    // (d) A collective with no link at all: a 1-chip fabric lowers to an
+    // empty link set, so the transfer would be busy on no resource.
+    let single = LinkGraph::torus(&PodTopology::for_chips(TorusKind::Torus2D, 1));
+    let mut lone = PodBuilder::new(&single);
+    lone.push_collective(&CollectivePlan::lower(CollectiveKind::AllReduce, 8_000, &single), vec![]);
+    let diagnostics = analysis::check_collective_phases(lone.phases(), &lone.resources(), &single);
+    assert_rule(&diagnostics, rules::TOPO_COLLECTIVE_LINKS_MISMATCH, Severity::Deny);
 }
 
 #[test]

@@ -21,7 +21,11 @@
 //! (e) **chain regression** — a pure chain DAG reproduces the pre-DAG
 //!     (PR 2) engine bit for bit: makespan, every scheduled phase time,
 //!     and the full idle histogram, pinned by FNV-1a digests recorded
-//!     from the chain engine immediately before the DAG generalization.
+//!     from the chain engine immediately before the DAG generalization;
+//! (f) **counters** — the event-loop counters, pinned by digests;
+//! (g) **one store** — the component timeline the engine derives from its
+//!     per-resource tracks equals a live kind-level recording of its
+//!     hooks, over both corpora.
 //!
 //! The corpus covers ≥ 50 random DAGs per run and asserts that fan-in,
 //! fan-out, and diamond topologies all actually occur — a generator
@@ -31,6 +35,9 @@ use npu_arch::ComponentKind;
 use npu_sim::timeline::{EngineScratch, OpPhases, Resource, Schedule, TimelineEngine};
 use npu_sim::{IdleHistogram, SplitMix64 as Rng, TraceRecorder};
 use regate_bench::Fnv1a as Fnv;
+
+mod common;
+use common::LiveKindRecorder;
 
 /// Number of random DAG seeds the invariant sweep covers.
 const NUM_DAG_SEEDS: u64 = 60;
@@ -552,4 +559,29 @@ fn event_loop_counters_match_the_recorded_digests() {
         dags.digest(),
         chains.digest()
     );
+}
+
+// ---------------------------------------------------------------------
+// (g): the derived component view against a live-recording oracle
+// ---------------------------------------------------------------------
+
+/// Runs `ops` under the live kind oracle and requires the schedule's
+/// component timeline, derived from the per-resource tracks, to equal
+/// what the oracle recorded from the hooks.
+fn assert_view_matches_live_kinds(label: &str, ops: Vec<OpPhases>) {
+    let engine = TimelineEngine::new(ops);
+    let mut oracle = LiveKindRecorder::for_set(&engine.resources());
+    let schedule =
+        engine.run_with_scratch_observed(&[], &mut EngineScratch::default(), &mut oracle);
+    assert_eq!(schedule.timeline, oracle.finish(schedule.makespan), "{label}");
+}
+
+#[test]
+fn derived_component_timeline_matches_live_kind_recording() {
+    for seed in 0..NUM_DAG_SEEDS {
+        assert_view_matches_live_kinds(&format!("dag seed {seed}"), random_dag(seed));
+    }
+    for (seed, ..) in CHAIN_GOLDEN {
+        assert_view_matches_live_kinds(&format!("chain seed {seed}"), golden_chain(seed));
+    }
 }

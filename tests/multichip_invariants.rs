@@ -8,18 +8,22 @@
 //! structural invariants no particular trace exercises: per-link tracks
 //! stay sorted and disjoint (no double-booking), the lowering agrees with
 //! the fabric under the `topo.*` analyzer pass, repeated runs are
-//! bit-identical, and the measured makespan lands inside the static
-//! window.
+//! bit-identical, the measured makespan lands inside the static window,
+//! and the component timeline derived from the per-resource tracks equals
+//! a live kind-level recording of the engine's hooks.
 
 use npu_arch::{LinkGraph, PodTopology, TorusKind};
 use npu_compiler::CollectivePlan;
 use npu_models::CollectiveKind;
-use npu_sim::analysis;
+use npu_sim::analysis::{self, rules};
 use npu_sim::engine::DISPATCH_OVERHEAD_CYCLES;
 use npu_sim::pod::PodBuilder;
 use npu_sim::timeline::TimelineEngine;
-use npu_sim::{Resource, ResourceId, Schedule};
+use npu_sim::{EngineScratch, Resource, ResourceId, Schedule, TraceRecorder};
 use regate_bench::Fnv1a as Fnv;
+
+mod common;
+use common::LiveKindRecorder;
 
 fn torus(kind: TorusKind, chips: usize) -> LinkGraph {
     LinkGraph::torus(&PodTopology::for_chips(kind, chips))
@@ -79,6 +83,35 @@ fn contending_collectives_serialize_on_the_shared_ring() {
     for &l in &plan.links {
         assert_eq!(schedule.resource_timeline.busy_cycles(set.link(l)), 2 * 10_000, "link {l}");
     }
+}
+
+#[test]
+fn one_chip_collectives_are_denied_and_export_clean() {
+    // A 1-chip fabric has no links, so the lowered all-reduce occupies no
+    // resource. The topo pass must deny it, and the observed run's trace
+    // still agrees with its own resource tracks: nothing is busy for it.
+    let graph = torus(TorusKind::Torus2D, 1);
+    let plan = CollectivePlan::lower(CollectiveKind::AllReduce, 9_000, &graph);
+    assert!(plan.links.is_empty(), "a 1-chip torus has no links: {:?}", plan.links);
+    let mut builder = PodBuilder::new(&graph);
+    builder.push_unit(0, Resource::Sa, 1_000, 0, vec![]);
+    builder.push_collective(&plan, vec![0]);
+    let set = builder.resources();
+    let report = analysis::analyze_pod(builder.phases(), &[], &set, &graph, None);
+    assert!(!report.is_schedulable(), "a link-less collective passed:\n{}", report.render());
+    assert!(
+        report.denials().any(|d| d.rule_id == rules::TOPO_COLLECTIVE_LINKS_MISMATCH),
+        "{}",
+        report.render()
+    );
+
+    let engine = builder.engine();
+    let mut recorder = TraceRecorder::for_set(&engine.resources());
+    let schedule =
+        engine.run_with_scratch_observed(&[], &mut EngineScratch::default(), &mut recorder);
+    let diagnostics =
+        analysis::check_trace_export(&recorder, &schedule.resource_timeline, schedule.makespan);
+    assert!(diagnostics.is_empty(), "{diagnostics:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -226,4 +259,18 @@ fn seeded_pod_counters_match_the_recorded_digest() {
         "pod event-loop counters drifted (measured: 0x{:016X})",
         fnv.digest()
     );
+}
+
+/// Pod seeds the live kind oracle covers.
+const ORACLE_POD_SEEDS: u64 = 256;
+
+#[test]
+fn seeded_pod_component_view_matches_live_kind_recording() {
+    for seed in 0..ORACLE_POD_SEEDS {
+        let engine = random_pod(seed).1.engine();
+        let mut oracle = LiveKindRecorder::for_set(&engine.resources());
+        let schedule =
+            engine.run_with_scratch_observed(&[], &mut EngineScratch::default(), &mut oracle);
+        assert_eq!(schedule.timeline, oracle.finish(schedule.makespan), "seed {seed}");
+    }
 }
