@@ -9,30 +9,30 @@
 //! Pass `--full` to use the exact Table 4 chip counts (slower), or
 //! `--quick` for the minimal CI smoke subset. Every configuration is run
 //! through the static schedule analyzer before simulation; a Deny
-//! diagnostic aborts the run (opt out with `--no-verify`).
+//! diagnostic aborts the run (opt out with `--no-verify`). A deployment
+//! no legal parallelism fits is printed as an infeasible row instead.
 
 use npu_arch::{ChipConfig, NpuGeneration, ParallelismConfig};
 use npu_compiler::Compiler;
-use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
+use npu_models::{DlrmSize, EvalConfig, LlamaModel, LlmPhase, Workload};
 use npu_power::GatingParams;
 use npu_sim::{analysis, Simulator, ValidationReport};
 use regate::experiments::{parallel_evaluation_sweep, setpm_rate};
-use regate_bench::{pct, section};
+use regate_bench::{infeasible, pct, section};
 
 /// Runs the static deployment pass for one workload × chip-count
 /// configuration and aborts on any Deny diagnostic: a graph the analyzer
 /// rejects would produce numbers no figure should trust.
-fn verify_deployment(workload: &Workload, num_chips: usize, label: &str) {
-    let chip = ChipConfig::new(NpuGeneration::D, num_chips);
-    let parallelism = workload
-        .default_parallelism(chip.spec(), num_chips)
-        .unwrap_or(ParallelismConfig::new(num_chips, 1, 1));
-    let compiled = Compiler::new(chip.spec().clone()).compile(&workload.build_graph(&parallelism));
+fn verify_deployment(config: &EvalConfig, parallelism: &ParallelismConfig) {
+    let chip = ChipConfig::new(NpuGeneration::D, config.num_chips);
+    let compiled =
+        Compiler::new(chip.spec().clone()).compile(&config.workload.build_graph(parallelism));
     let report =
         analysis::analyze_deployment(&compiled, chip.spec(), Some(&GatingParams::default()));
     assert!(
         report.is_schedulable(),
-        "static analysis denied configuration '{label}':\n{}",
+        "static analysis denied configuration '{}':\n{}",
+        config.workload.label(),
         report.render()
     );
 }
@@ -67,6 +67,26 @@ fn eval_set(scale: Scale) -> Vec<npu_models::EvalConfig> {
     }
 }
 
+/// Splits `configs` into the deployments some legal parallelism fits,
+/// each with that parallelism, and the table rows of the others.
+fn feasible(configs: Vec<EvalConfig>) -> (Vec<(EvalConfig, ParallelismConfig)>, Vec<String>) {
+    let mut fits = Vec::new();
+    let mut denied = Vec::new();
+    for config in configs {
+        let chip = ChipConfig::new(NpuGeneration::D, config.num_chips);
+        match analysis::feasible_parallelism(&config.workload, chip.spec(), config.num_chips) {
+            Ok(parallelism) => fits.push((config, parallelism)),
+            Err(report) => denied.push(format!(
+                "{:<28} {:>6} {}",
+                config.workload.label(),
+                config.num_chips,
+                infeasible(&report)
+            )),
+        }
+    }
+    (fits, denied)
+}
+
 fn main() {
     let scale = if std::env::args().any(|a| a == "--full") {
         Scale::Full
@@ -76,12 +96,12 @@ fn main() {
         Scale::Default
     };
     let verify = !std::env::args().any(|a| a == "--no-verify");
+    let (configs, denied) = feasible(eval_set(scale));
 
     if verify {
         section("Static analysis: verifying every configuration before simulation");
-        let configs = eval_set(scale);
-        for config in &configs {
-            verify_deployment(&config.workload, config.num_chips, &config.workload.label());
+        for (config, parallelism) in &configs {
+            verify_deployment(config, parallelism);
         }
         println!(
             "{} Table 4 configuration(s) verified: zero Deny diagnostics (skip with --no-verify)",
@@ -102,8 +122,13 @@ fn main() {
     };
     for (workload, label) in validation_set {
         let chip = ChipConfig::new(NpuGeneration::D, 8);
-        let parallelism =
-            workload.default_parallelism(chip.spec(), 8).unwrap_or(ParallelismConfig::new(8, 1, 1));
+        let parallelism = match analysis::feasible_parallelism(&workload, chip.spec(), 8) {
+            Ok(parallelism) => parallelism,
+            Err(report) => {
+                println!("{label:<22} {}", infeasible(&report));
+                continue;
+            }
+        };
         let graph = workload.build_graph(&parallelism);
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         if verify {
@@ -136,13 +161,12 @@ fn main() {
         );
     }
 
-    let configs = eval_set(scale);
-
     section("Figure 17: energy savings vs NoPG");
     println!(
         "{:<28} {:>6} {:>12} {:>12} {:>12} {:>12}",
         "workload", "chips", "Base", "HW", "Full", "Ideal"
     );
+    let configs: Vec<EvalConfig> = configs.into_iter().map(|(config, _)| config).collect();
     // One worker thread per workload; each evaluates every design point.
     let sweep = parallel_evaluation_sweep(&configs, &[NpuGeneration::D]);
     let rows: Vec<_> = sweep.into_iter().map(|mut per_gen| per_gen.remove(0)).collect();
@@ -156,6 +180,9 @@ fn main() {
             pct(row.energy_savings[2].1),
             pct(row.energy_savings[3].1),
         );
+    }
+    for row in &denied {
+        println!("{row}");
     }
 
     section("Figure 17 (stacking): ReGate-Full savings by component");

@@ -41,25 +41,6 @@ impl Design {
             Design::Ideal => "Ideal",
         }
     }
-
-    /// Whether the systolic arrays are gated at PE granularity.
-    #[must_use]
-    pub fn has_pe_level_sa_gating(self) -> bool {
-        matches!(self, Design::ReGateHw | Design::ReGateFull | Design::Ideal)
-    }
-
-    /// Whether the vector units and SRAM are gated by compiler-inserted
-    /// `setpm` instructions (software-managed).
-    #[must_use]
-    pub fn has_software_gating(self) -> bool {
-        matches!(self, Design::ReGateFull | Design::Ideal)
-    }
-
-    /// Whether any gating is enabled at all.
-    #[must_use]
-    pub fn has_gating(self) -> bool {
-        !matches!(self, Design::NoPg)
-    }
 }
 
 impl std::fmt::Display for Design {
@@ -79,16 +60,5 @@ mod tests {
         assert_eq!(Design::ReGateFull.label(), "ReGate-Full");
         assert_eq!(Design::ALL.len(), 5);
         assert_eq!(Design::GATED.len(), 4);
-    }
-
-    #[test]
-    fn capability_lattice() {
-        assert!(!Design::NoPg.has_gating());
-        assert!(Design::ReGateBase.has_gating());
-        assert!(!Design::ReGateBase.has_pe_level_sa_gating());
-        assert!(Design::ReGateHw.has_pe_level_sa_gating());
-        assert!(!Design::ReGateHw.has_software_gating());
-        assert!(Design::ReGateFull.has_software_gating());
-        assert!(Design::Ideal.has_software_gating() && Design::Ideal.has_pe_level_sa_gating());
     }
 }

@@ -7,8 +7,8 @@
 //! arrays), plus the component's **real idle intervals** — the gaps of the
 //! simulator's merged busy timeline — walked one by one against the
 //! design's break-even times, detection windows, and wake-up latencies
-//! by the design's per-component [`npu_power::PowerPolicy`] (its
-//! [`PolicyConfig`](crate::PolicyConfig)). An interval shorter than
+//! by the policy its [`PolicyConfig`](crate::PolicyConfig) table maps the
+//! component to (no entry: full static power). An interval shorter than
 //! the break-even time stays at full power no matter how much aggregate
 //! idleness exists, which is exactly the distribution sensitivity of the
 //! paper's Figures 9/15. Static energy is the component's leakage power
@@ -18,7 +18,8 @@
 //! All designs of one trace are priced on one shared timeline: the trace
 //! is profiled once (idle-gap lengths, SRAM dead gaps, SA active-period
 //! cycles, the hungriest operator's power), and each policy kind only
-//! walks that profile.
+//! walks that profile. Every priced kind, design preset or extended, comes
+//! out as one [`PolicyEvaluation`] row.
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -28,40 +29,16 @@ use serde::{Deserialize, Serialize};
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig};
 use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::Workload;
-use npu_power::{CarbonModel, EnergyBreakdown, GatingParams, PowerModel};
-use npu_sim::{AnalysisReport, Diagnostic, SimulationResult, Simulator};
+use npu_power::{CarbonModel, EnergyBreakdown, GatingParams, PowerModel, PowerPolicy};
+use npu_sim::{AnalysisReport, SimulationResult, Simulator};
 
 use crate::designs::Design;
 use crate::pe_gating::SaGatingPlan;
-use crate::policy::{GapLengths, IdleLeakModel, PolicyKind, SaActiveMode, SramPolicy};
+use crate::policy::{GapLengths, IdleLeakModel, PolicyKind, SaActiveMode, TIMELINE_UNITS};
 
 /// Residual power of a PE in the weight-retaining `W_on` mode, as a
 /// fraction of its fully-on static power.
 const W_ON_RESIDUAL: f64 = 0.10;
-
-/// The components with their own busy timeline, each walked by its own
-/// idle-interval policy; their union idleness is the whole-chip idleness.
-const TIMELINE_UNITS: [ComponentKind; 5] = [
-    ComponentKind::Sa,
-    ComponentKind::Vu,
-    ComponentKind::Hbm,
-    ComponentKind::Ici,
-    ComponentKind::Dma,
-];
-
-/// Evaluation of one design point for one workload deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DesignEvaluation {
-    /// The design point.
-    pub design: Design,
-    /// Per-chip energy breakdown for one unit-of-work batch.
-    pub energy: EnergyBreakdown,
-    /// Execution-time overhead relative to `NoPG` (fraction, e.g. 0.004).
-    pub performance_overhead: f64,
-    /// Peak per-chip power: the average power of the most power-hungry
-    /// operator, in watts.
-    pub peak_power_w: f64,
-}
 
 /// Full evaluation of one workload deployment across all design points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,8 +51,9 @@ pub struct WorkloadEvaluation {
     pub num_chips: usize,
     /// The parallelism configuration used.
     pub parallelism: ParallelismConfig,
-    /// Per-design evaluations.
-    pub designs: BTreeMap<Design, DesignEvaluation>,
+    /// The five design presets priced on the simulated trace: one
+    /// [`PolicyKind::Preset`] row per design, in [`Design::ALL`] order.
+    pub designs: PolicySetEvaluation,
     /// Work items produced by one execution of the graph (whole deployment).
     pub work_items: f64,
     /// The underlying simulation (per-operator activity).
@@ -83,24 +61,21 @@ pub struct WorkloadEvaluation {
 }
 
 impl WorkloadEvaluation {
-    /// Evaluation of one design point.
+    /// The row of one design point: its preset's [`PolicyEvaluation`].
     ///
     /// # Panics
     ///
-    /// Panics if the design was not evaluated (all designs always are).
+    /// Panics if `designs` lacks the preset (an evaluation prices all
+    /// five).
     #[must_use]
-    pub fn design(&self, design: Design) -> &DesignEvaluation {
-        self.designs.get(&design).expect("all designs are evaluated")
+    pub fn design(&self, design: Design) -> &PolicyEvaluation {
+        self.designs.row(PolicyKind::Preset(design))
     }
 
     /// Busy-time energy savings of a design relative to `NoPG`.
     #[must_use]
     pub fn energy_savings(&self, design: Design) -> f64 {
-        let base = self.design(Design::NoPg).energy.total_j();
-        if base == 0.0 {
-            return 0.0;
-        }
-        1.0 - self.design(design).energy.total_j() / base
+        self.design(design).savings
     }
 
     /// Energy per unit of work (Joule per iteration / token / request /
@@ -161,17 +136,16 @@ impl WorkloadEvaluation {
 }
 
 /// Evaluation of one power-management policy for one workload deployment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyEvaluation {
     /// The evaluated policy.
     pub kind: PolicyKind,
-    /// The policy's table label ([`PolicyKind::label`]).
-    pub label: String,
     /// Per-chip energy breakdown for the simulated trace.
     pub energy: EnergyBreakdown,
-    /// Execution-time overhead relative to `NoPG` (fraction).
+    /// Execution-time overhead relative to `NoPG` (fraction, e.g. 0.004).
     pub performance_overhead: f64,
-    /// Peak per-chip power, in watts.
+    /// Peak per-chip power: the average power of the most power-hungry
+    /// operator, in watts.
     pub peak_power_w: f64,
     /// Busy-time energy savings relative to `NoPG` on the same trace.
     pub savings: f64,
@@ -180,7 +154,7 @@ pub struct PolicyEvaluation {
 /// A set of power-management policies evaluated on one identical
 /// timeline (the policy × workload × load matrix rows for one cell of
 /// the workload × load plane).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicySetEvaluation {
     /// Total `NoPG` energy of the trace, in joules (the savings
     /// denominator shared by every row).
@@ -240,9 +214,9 @@ impl Evaluator {
     ///
     /// Panics if no valid parallelism configuration exists for the
     /// requested deployment (use [`Self::try_evaluate`] to handle the
-    /// denial programmatically). The engine used to silently fabricate a
-    /// `ParallelismConfig::new(num_chips, 1, 1)` fallback here, which
-    /// priced a deployment whose weights provably do not fit in HBM.
+    /// denial programmatically). No entry point fabricates a
+    /// `ParallelismConfig::new(num_chips, 1, 1)` fallback, which would
+    /// price a deployment whose weights provably do not fit in HBM.
     #[must_use]
     pub fn evaluate(&self, workload: &Workload, num_chips: usize) -> WorkloadEvaluation {
         match self.try_evaluate(workload, num_chips) {
@@ -264,26 +238,16 @@ impl Evaluator {
     /// Returns an [`AnalysisReport`] carrying a
     /// `topo.parallelism-infeasible` denial when no valid parallelism
     /// configuration exists for the requested (workload, chip count) —
-    /// e.g. model weights that cannot fit the deployment's aggregate HBM.
+    /// e.g. model weights that cannot fit the deployment's aggregate HBM
+    /// ([`npu_sim::analysis::feasible_parallelism`]).
     pub fn try_evaluate(
         &self,
         workload: &Workload,
         num_chips: usize,
     ) -> Result<WorkloadEvaluation, AnalysisReport> {
         let chip = ChipConfig::new(self.generation, num_chips);
-        let Some(parallelism) = workload.default_parallelism(chip.spec(), num_chips) else {
-            let mut report = AnalysisReport::new();
-            report.extend([Diagnostic::deny(
-                npu_sim::analysis::rules::TOPO_PARALLELISM_INFEASIBLE,
-                None,
-                format!(
-                    "no valid parallelism configuration for {workload} on {num_chips} chip(s): \
-                     the workload's memory demand exceeds the deployment's aggregate HBM under \
-                     every legal (data, tensor, pipeline) split"
-                ),
-            )]);
-            return Err(report);
-        };
+        let parallelism =
+            npu_sim::analysis::feasible_parallelism(workload, chip.spec(), num_chips)?;
         let graph = workload.build_graph(&parallelism);
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         let simulation = Simulator::new(chip).run(&compiled);
@@ -300,7 +264,8 @@ impl Evaluator {
     /// Evaluates every design point over a *pre-built* compiled graph and
     /// simulation — the entry point for callers that schedule their own
     /// traces (the serving simulator's arrival-driven runs, where the
-    /// timeline already contains queueing and inter-request gaps).
+    /// timeline already contains queueing and inter-request gaps). It is
+    /// [`Self::evaluate_policies`] over the five [`PolicyKind::Preset`]s.
     ///
     /// `duty_cycle` attributes the out-of-duty-cycle idle leakage the
     /// simulated window cannot see: the standard single-batch path passes
@@ -328,15 +293,13 @@ impl Evaluator {
         simulation: SimulationResult,
         duty_cycle: f64,
     ) -> WorkloadEvaluation {
-        let profile = self.profile(num_chips, compiled, &simulation, duty_cycle);
-        let designs = Design::ALL
-            .into_iter()
-            .map(|design| {
-                let (energy, performance_overhead, peak_power_w) =
-                    self.price(PolicyKind::Preset(design), &profile);
-                (design, DesignEvaluation { design, energy, performance_overhead, peak_power_w })
-            })
-            .collect();
+        let designs = self.evaluate_policies(
+            num_chips,
+            compiled,
+            &simulation,
+            duty_cycle,
+            &Design::ALL.map(PolicyKind::Preset),
+        );
         WorkloadEvaluation {
             workload: *workload,
             generation: self.generation,
@@ -352,8 +315,8 @@ impl Evaluator {
     /// compiled graph and simulation — every policy prices the identical
     /// timeline, so the rows are directly comparable (the policy ×
     /// workload × load matrix). Presets and extended kinds alike go
-    /// through the pricing path of [`Self::evaluate_compiled`], so a
-    /// preset row is bit-identical to its design row.
+    /// through one pricing path, so a preset row is bit-identical to its
+    /// design row in [`Self::evaluate_compiled`].
     ///
     /// `duty_cycle` has the same semantics as in
     /// [`Self::evaluate_compiled`].
@@ -372,27 +335,10 @@ impl Evaluator {
         kinds: &[PolicyKind],
     ) -> PolicySetEvaluation {
         let profile = self.profile(num_chips, compiled, simulation, duty_cycle);
-        let baseline_total_j = profile.baseline.total_j();
-        let rows = kinds
-            .iter()
-            .map(|&kind| {
-                let (energy, performance_overhead, peak_power_w) = self.price(kind, &profile);
-                let savings = if baseline_total_j == 0.0 {
-                    0.0
-                } else {
-                    1.0 - energy.total_j() / baseline_total_j
-                };
-                PolicyEvaluation {
-                    kind,
-                    label: kind.label(),
-                    energy,
-                    performance_overhead,
-                    peak_power_w,
-                    savings,
-                }
-            })
-            .collect();
-        PolicySetEvaluation { baseline_total_j, rows }
+        PolicySetEvaluation {
+            baseline_total_j: profile.baseline.total_j(),
+            rows: kinds.iter().map(|&kind| self.price(kind, &profile)).collect(),
+        }
     }
 
     /// Extracts the pricing profile of one simulated trace, shared by
@@ -502,97 +448,68 @@ impl Evaluator {
         }
     }
 
-    /// Prices one policy over a profiled trace and returns
-    /// `(energy, performance_overhead, peak_power_w)`: the kind expands
-    /// into its [`PolicyConfig`](crate::PolicyConfig), whose
-    /// per-component policies walk the trace's real idle intervals.
-    /// `NoPG` is the baseline itself.
-    fn price(&self, kind: PolicyKind, profile: &PricingProfile<'_>) -> (EnergyBreakdown, f64, f64) {
+    /// Prices one policy over a profiled trace into its row: the kind
+    /// expands into its [`PolicyConfig`](crate::PolicyConfig) table, whose
+    /// policies walk the trace's real idle intervals component by
+    /// component. `NoPG` is the baseline itself.
+    fn price(&self, kind: PolicyKind, profile: &PricingProfile<'_>) -> PolicyEvaluation {
         let PricingProfile { model, baseline, total_cycles, .. } = profile;
         let total_cycles = *total_cycles;
-        if kind == PolicyKind::Preset(Design::NoPg) {
-            return (baseline.clone(), 0.0, profile.peak_power(baseline));
-        }
-        let config = kind.config(&self.gating, model.spec());
-        let cycle_s = model.spec().cycle_seconds();
-
-        // Equivalent full-power cycles per component: busy time at its
-        // policy-specific rate, plus the component's *real* idle intervals
-        // walked against the policy's break-even times and wake-up
-        // latencies.
-        let mut equivalent: BTreeMap<ComponentKind, f64> = BTreeMap::new();
-        let mut overhead_cycles: f64 = 0.0;
-
-        // --- Systolic arrays: spatially gated while active (per-operator
-        //     shapes); vector units, HBM / ICI controllers and the DMA
-        //     engine: full power while busy. Every component's real idle
-        //     gaps are walked by its policy. ---
-        let policies = [&config.sa_idle, &config.vu, &config.hbm, &config.ici, &config.dma];
-        for (unit, policy) in profile.units.iter().zip(policies) {
-            let busy = if unit.kind == ComponentKind::Sa {
-                profile.sa_active.cycles(config.sa_active)
-            } else {
-                unit.busy_cycles as f64
+        let (energy, performance_overhead) = if kind == PolicyKind::Preset(Design::NoPg) {
+            (baseline.clone(), 0.0)
+        } else {
+            let config = kind.config(&self.gating, model.spec());
+            let cycle_s = model.spec().cycle_seconds();
+            // Equivalent full-power seconds per component: busy time at its
+            // policy-specific rate, plus its *real* idle intervals walked
+            // against the policy's break-even times and wake-up latencies.
+            // A component with no policy stays fully on. The timeline
+            // units come first, so wake-up stalls are summed in that order.
+            let mut equivalent_seconds: BTreeMap<ComponentKind, f64> = BTreeMap::new();
+            let mut overhead_cycles: f64 = 0.0;
+            let components =
+                TIMELINE_UNITS.into_iter().chain([ComponentKind::Sram, ComponentKind::Other]);
+            for component in components {
+                let cycles = match config.policies.get(&component) {
+                    None => total_cycles as f64,
+                    Some(policy) => {
+                        let (cycles, stall_cycles) =
+                            profile.walk(component, policy.as_ref(), config.sa_active);
+                        overhead_cycles += stall_cycles;
+                        cycles
+                    }
+                };
+                equivalent_seconds.insert(component, cycles * cycle_s);
+            }
+            // Idle (out-of-duty-cycle) leakage under the policy's
+            // attribution model.
+            let idle_static_j = match config.idle_leak {
+                IdleLeakModel::Baseline => baseline.idle_static_j,
+                IdleLeakModel::PerComponent { logic, sram } => {
+                    baseline.idle_static_j * self.idle_off_ratio(logic, sram, model)
+                }
             };
-            let walk = unit.idle.walk(policy.as_ref());
-            equivalent.insert(unit.kind, busy + walk.equivalent_cycles);
-            overhead_cycles += walk.wake_stall_cycles;
+            let energy = EnergyBreakdown::gated(
+                baseline,
+                model,
+                &equivalent_seconds,
+                overhead_cycles * cycle_s,
+                idle_static_j,
+            );
+            let overhead =
+                if total_cycles == 0 { 0.0 } else { overhead_cycles / total_cycles as f64 };
+            (energy, overhead)
+        };
+        let baseline_total_j = baseline.total_j();
+        let savings =
+            if baseline_total_j == 0.0 { 0.0 } else { 1.0 - energy.total_j() / baseline_total_j };
+        PolicyEvaluation {
+            kind,
+            peak_power_w: profile.peak_power(&energy),
+            energy,
+            performance_overhead,
+            savings,
         }
-
-        // --- SRAM: per-segment gating on the event timeline (§4.3). A
-        //     4 KiB segment burns full static power while its data is
-        //     live; its *dead* intervals are walked by the SRAM policy
-        //     exactly like any other component's idle gaps. The presets:
-        //     ReGate-Base/-HW put dead segments into the data-retaining
-        //     sleep mode via hardware idle detection; ReGate-Full powers
-        //     them off with compiler-issued `setpm` (the allocator knows
-        //     every lifetime statically); Ideal leaks nothing while dead.
-        //     Retention wake-ups are not charged to the critical path:
-        //     the drowsy wake is a few cycles hidden under the access
-        //     pipeline, and `setpm on` is issued ahead of the next use.
-        equivalent.insert(ComponentKind::Sram, profile.sram_equivalent_cycles(&config.sram));
-
-        // --- Peripheral logic: per-component gating can never touch it,
-        //     but a chip-level policy walks the *whole-chip* idle
-        //     intervals (every tracked component simultaneously quiet —
-        //     the pipeline-stage bubbles of multi-chip serving) and
-        //     recovers the uncore static power inside them. ---
-        let other_eq = match &config.whole_chip {
-            None => total_cycles as f64,
-            Some(policy) => {
-                let gaps = profile.chip_idle();
-                let union_idle: u64 = gaps.lens.iter().sum();
-                let walk = gaps.walk(policy.as_ref());
-                overhead_cycles += walk.wake_stall_cycles;
-                (total_cycles - union_idle) as f64 + walk.equivalent_cycles
-            }
-        };
-        equivalent.insert(ComponentKind::Other, other_eq);
-
-        let performance_overhead =
-            if total_cycles == 0 { 0.0 } else { overhead_cycles / total_cycles as f64 };
-
-        let equivalent_seconds: BTreeMap<ComponentKind, f64> =
-            equivalent.into_iter().map(|(k, cycles)| (k, cycles * cycle_s)).collect();
-        // Idle (out-of-duty-cycle) leakage under the policy's attribution
-        // model.
-        let idle_static_j = match config.idle_leak {
-            IdleLeakModel::Baseline => baseline.idle_static_j,
-            IdleLeakModel::Zero => 0.0,
-            IdleLeakModel::PerComponent { logic, sram } => {
-                baseline.idle_static_j * self.idle_off_ratio(logic, sram, model)
-            }
-        };
-        let energy = EnergyBreakdown::gated(
-            baseline,
-            model,
-            &equivalent_seconds,
-            overhead_cycles * cycle_s,
-            idle_static_j,
-        );
-
-        let peak_power_w = profile.peak_power(&energy);
-        (energy, performance_overhead, peak_power_w)
     }
 
     /// Chip-wide residual-leakage ratio while the chip sits outside its
@@ -634,8 +551,8 @@ struct PricingProfile<'a> {
     /// Largest average dynamic power of one operator; `None` when no
     /// operator takes time.
     max_op_dynamic_w: Option<f64>,
-    /// Whole-chip idle gaps, extracted on first use by a kind with a
-    /// whole-chip policy.
+    /// Whole-chip idle gaps, extracted on first use by a kind with an
+    /// `Other` policy.
     chip_idle: OnceCell<GapLengths>,
     sim: &'a SimulationResult,
 }
@@ -683,38 +600,84 @@ struct SramBand {
 }
 
 impl PricingProfile<'_> {
-    /// Whole-chip idle gaps: every timeline unit quiet at once.
-    fn chip_idle(&self) -> &GapLengths {
-        self.chip_idle.get_or_init(|| {
-            let gaps =
-                self.sim.busy_timeline().union_idle_intervals(&TIMELINE_UNITS, self.total_cycles);
-            GapLengths::of(&gaps, self.total_cycles)
-        })
-    }
-
-    /// Equivalent full-power SRAM cycles of one policy, averaged over the
-    /// scratchpad's segments: each segment is fully powered during its
-    /// live intervals and its dead intervals are walked by the SRAM
-    /// policy. Never-live segments share one whole-execution dead
-    /// interval, so their cost is computed once and weighted by their
-    /// count. Dead intervals never stall the pipeline (restores are
-    /// hidden or scheduled ahead), so only the equivalent cycles matter.
-    fn sram_equivalent_cycles(&self, policy: &SramPolicy) -> f64 {
-        let (Some(sram), SramPolicy::Walk(walk)) = (&self.sram, policy) else {
-            return self.total_cycles as f64;
-        };
-        let mut eq_sum = 0.0f64;
-        for band in &sram.bands {
-            let per_segment =
-                band.live_cycles as f64 + band.dead.walk(walk.as_ref()).equivalent_cycles;
-            eq_sum += per_segment * band.num_segments as f64;
+    /// Walks one component's idle gaps under `policy` and returns its
+    /// `(equivalent_cycles, stall_cycles)`: equivalent full-power cycles
+    /// over the trace, and the wake-up cycles charged to the critical
+    /// path.
+    fn walk(
+        &self,
+        kind: ComponentKind,
+        policy: &dyn PowerPolicy,
+        sa_active: SaActiveMode,
+    ) -> (f64, f64) {
+        match kind {
+            // SRAM: per-segment gating on the event timeline (§4.3). A
+            // 4 KiB segment burns full static power while its data is
+            // live; its *dead* intervals are walked by the SRAM policy
+            // exactly like any other component's idle gaps. The presets:
+            // ReGate-Base/-HW put dead segments into the data-retaining
+            // sleep mode via hardware idle detection; ReGate-Full powers
+            // them off with compiler-issued `setpm` (the allocator knows
+            // every lifetime statically); Ideal leaks nothing while dead.
+            // The cycles are averaged over the scratchpad's segments;
+            // never-live segments share one whole-execution dead interval,
+            // so their cost is computed once and weighted by their count.
+            // Dead intervals never stall the pipeline: the drowsy wake is
+            // a few cycles hidden under the access pipeline, and `setpm
+            // on` is issued ahead of the next use.
+            ComponentKind::Sram => {
+                let Some(sram) = &self.sram else {
+                    return (self.total_cycles as f64, 0.0);
+                };
+                let mut eq_sum = 0.0f64;
+                for band in &sram.bands {
+                    let per_segment =
+                        band.live_cycles as f64 + band.dead.walk(policy).equivalent_cycles;
+                    eq_sum += per_segment * band.num_segments as f64;
+                }
+                if sram.never_live > 0 {
+                    // One gap from cycle 0 to the makespan: trailing.
+                    let dead = policy.walk_intervals(&[self.total_cycles], true);
+                    eq_sum += dead.equivalent_cycles * sram.never_live as f64;
+                }
+                (eq_sum / sram.total_segments as f64, 0.0)
+            }
+            // Peripheral logic: per-component gating can never touch it,
+            // but a chip-level policy walks the *whole-chip* idle
+            // intervals (every timeline unit simultaneously quiet — the
+            // pipeline-stage bubbles of multi-chip serving) and recovers
+            // the uncore static power inside them.
+            ComponentKind::Other => {
+                let gaps = self.chip_idle.get_or_init(|| {
+                    let gaps = self
+                        .sim
+                        .busy_timeline()
+                        .union_idle_intervals(&TIMELINE_UNITS, self.total_cycles);
+                    GapLengths::of(&gaps, self.total_cycles)
+                });
+                let union_idle: u64 = gaps.lens.iter().sum();
+                let walk = gaps.walk(policy);
+                let busy = (self.total_cycles - union_idle) as f64;
+                (busy + walk.equivalent_cycles, walk.wake_stall_cycles)
+            }
+            // Timeline units: full power while busy, except the systolic
+            // arrays, which are spatially gated while active (per-operator
+            // shapes); their real idle gaps are walked by the policy.
+            unit => {
+                let profile = self
+                    .units
+                    .iter()
+                    .find(|profile| profile.kind == unit)
+                    .expect("every other component is a timeline unit");
+                let busy = if unit == ComponentKind::Sa {
+                    self.sa_active.cycles(sa_active)
+                } else {
+                    profile.busy_cycles as f64
+                };
+                let walk = profile.idle.walk(policy);
+                (busy + walk.equivalent_cycles, walk.wake_stall_cycles)
+            }
         }
-        if sram.never_live > 0 {
-            // One gap from cycle 0 to the makespan: trailing.
-            let dead = walk.walk_intervals(&[self.total_cycles], true);
-            eq_sum += dead.equivalent_cycles * sram.never_live as f64;
-        }
-        eq_sum / sram.total_segments as f64
     }
 
     /// Peak per-chip power: the average power of the most power-hungry
@@ -1061,9 +1024,9 @@ mod tests {
             let row = set.row(kind);
             // Every extended policy only ever *reduces* idle cost, so the
             // savings sit between the NoPG floor and the Ideal oracle.
-            assert!(row.savings > 0.0, "{}: savings {}", row.label, row.savings);
-            assert!(row.savings <= ideal + 1e-12, "{}: beats the oracle", row.label);
-            assert!(row.performance_overhead >= 0.0, "{}", row.label);
+            assert!(row.savings > 0.0, "{}: savings {}", row.kind.label(), row.savings);
+            assert!(row.savings <= ideal + 1e-12, "{}: beats the oracle", row.kind.label());
+            assert!(row.performance_overhead >= 0.0, "{}", row.kind.label());
             // Zero-transition policies expose no latency at all.
             if matches!(
                 kind,
@@ -1071,7 +1034,7 @@ mod tests {
                     | PolicyKind::Dvfs { .. }
                     | PolicyKind::DrowsyEverywhere
             ) {
-                assert_eq!(row.performance_overhead, 0.0, "{}", row.label);
+                assert_eq!(row.performance_overhead, 0.0, "{}", row.kind.label());
             }
         }
         // Clock gating keeps the SRAM fully powered, so it must save less

@@ -202,6 +202,11 @@ pub fn parallel_evaluation_sweep(
 /// Figure 20: `setpm` instructions per 1,000 cycles for a workload, derived
 /// by expanding a sample of its compiled operators into VLIW schedules and
 /// running the instrumentation pass over them.
+///
+/// # Panics
+///
+/// Panics if no valid parallelism configuration exists for the
+/// deployment ([`npu_sim::analysis::feasible_parallelism`]).
 #[must_use]
 pub fn setpm_rate(
     workload: &Workload,
@@ -211,9 +216,13 @@ pub fn setpm_rate(
 ) -> f64 {
     let spec = npu_arch::NpuSpec::generation(generation);
     let chip = npu_arch::ChipConfig::new(generation, num_chips);
-    let parallelism = workload
-        .default_parallelism(&spec, num_chips)
-        .unwrap_or_else(|| npu_arch::ParallelismConfig::new(num_chips, 1, 1));
+    let parallelism = npu_sim::analysis::feasible_parallelism(workload, &spec, num_chips)
+        .unwrap_or_else(|report| {
+            panic!(
+                "infeasible deployment of {workload} on {num_chips} chip(s):\n{}",
+                report.render()
+            )
+        });
     let graph = workload.build_graph(&parallelism);
     let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
     let policy = SetPmPolicy::new(GatingParams::default().vu_bet, GatingParams::default().vu_delay);

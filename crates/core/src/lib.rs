@@ -17,10 +17,11 @@
 //!   `ReGate-HW`, `ReGate-Full`, and the `Ideal` roofline;
 //! * [`evaluate`] — the end-to-end evaluation engine: workload → compile →
 //!   simulate → per-design energy/power/performance/carbon;
-//! * [`policy`] — pluggable power-management policy selection: the five
-//!   design points as presets of a per-component [`npu_power::PowerPolicy`]
-//!   configuration, plus clock gating, DVFS, drowsy-everywhere,
-//!   tile-grain re-gating, and contents-aware SRAM write-back;
+//! * [`policy`] — pluggable power-management policy selection: a policy
+//!   kind is a component→[`npu_power::PowerPolicy`] table; the five design
+//!   points are presets of it, next to clock gating, DVFS,
+//!   drowsy-everywhere, tile-grain re-gating, contents-aware SRAM
+//!   write-back, and whole-chip gating;
 //! * [`experiments`] — generators for every table and figure of the paper's
 //!   characterization (§3) and evaluation (§6) sections.
 //!
@@ -49,9 +50,7 @@ pub mod pod;
 pub mod policy;
 
 pub use designs::Design;
-pub use evaluate::{
-    DesignEvaluation, Evaluator, PolicyEvaluation, PolicySetEvaluation, WorkloadEvaluation,
-};
+pub use evaluate::{Evaluator, PolicyEvaluation, PolicySetEvaluation, WorkloadEvaluation};
 pub use pe_gating::{PeMode, SaGatingPlan};
 pub use pod::{pod_static_gating, PodGatingReport};
-pub use policy::{IdleLeakModel, PolicyConfig, PolicyKind, SaActiveMode, SramPolicy};
+pub use policy::{IdleLeakModel, PolicyConfig, PolicyKind, SaActiveMode};

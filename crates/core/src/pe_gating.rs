@@ -224,18 +224,19 @@ pub fn simulate_wavefront_on_pes(width: usize, m: usize) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    use npu_arch::{NpuGeneration, NpuSpec};
+    use npu_arch::{ComponentKind, NpuGeneration, NpuSpec};
     use npu_power::{GatingParams, PolicyWalk};
 
     use crate::designs::Design;
     use crate::policy::PolicyKind;
 
-    /// Walks SA idle intervals under a design preset's `sa_idle` policy,
-    /// the path the evaluator prices the array's idle gaps with.
+    /// Walks SA idle intervals under the policy a design preset's table
+    /// maps the SA to, the path the evaluator prices the array's idle
+    /// gaps with.
     fn sa_idle(design: Design, lens: &[u64], trailing: bool) -> PolicyWalk {
         let config = PolicyKind::Preset(design)
             .config(&GatingParams::default(), &NpuSpec::generation(NpuGeneration::D));
-        config.sa_idle.walk_intervals(lens, trailing)
+        config.policies[&ComponentKind::Sa].walk_intervals(lens, trailing)
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! module prices exactly that delta on a multi-chip [`Schedule`].
 
 use npu_arch::{ComponentKind, NpuSpec};
-use npu_power::{GatingParams, PowerModel, PowerPolicy};
+use npu_power::{GatingParams, PowerModel};
 use npu_sim::{CycleInterval, Resource, ResourceId, Schedule};
 
 use crate::designs::Design;
@@ -65,8 +65,9 @@ impl PodGatingReport {
 /// per-component gating, per-component plus whole-chip gating — over its
 /// per-resource timeline ([`npu_sim::ResourceTimeline`]).
 ///
-/// Every chip unit and link walks its idle gaps under the `ReGate-Base`
-/// preset's policy for its component; the whole-chip variant adds the
+/// Every chip unit and link walks its idle gaps under the policy the
+/// `ReGate-Base` preset's table maps its component to (the HBM/DMA unit
+/// under the HBM entry); the whole-chip variant adds the
 /// chip-level walk `WholeChipFull` uses over each chip's whole-chip idle
 /// intervals.
 ///
@@ -89,11 +90,16 @@ pub fn pod_static_gating(
     let total = schedule.makespan;
     let base = PolicyKind::Preset(Design::ReGateBase).config(gating, spec);
     let chip_policy = whole_chip_policy(gating);
-    // Equivalent full-power cycles of one resource: busy cycles plus its
-    // walked idle gaps.
-    let walked = |policy: &dyn PowerPolicy, id: ResourceId| {
+    // Equivalent full-power cycles of one resource under the preset's
+    // policy for `kind`: busy cycles plus its walked idle gaps, or the
+    // whole makespan when the table has no entry.
+    let walked = |kind: ComponentKind, id: ResourceId| {
+        let Some(policy) = base.policies.get(&kind) else {
+            return total as f64;
+        };
         let gaps = tl.idle_intervals(id, total);
-        tl.busy_cycles(id) as f64 + GapLengths::of(&gaps, total).walk(policy).equivalent_cycles
+        tl.busy_cycles(id) as f64
+            + GapLengths::of(&gaps, total).walk(policy.as_ref()).equivalent_cycles
     };
 
     let mut baseline = 0.0f64;
@@ -106,24 +112,22 @@ pub fn pod_static_gating(
     };
 
     for chip in 0..set.num_chips() {
-        for kind in [Resource::Sa, Resource::Vu, Resource::HbmDma, Resource::Ici] {
-            let (weight_w, policy) = match kind {
-                Resource::Sa => (model.static_power_w(ComponentKind::Sa), &base.sa_idle),
-                Resource::Vu => (model.static_power_w(ComponentKind::Vu), &base.vu),
-                Resource::HbmDma => (
+        for (unit, kind) in [
+            (Resource::Sa, ComponentKind::Sa),
+            (Resource::Vu, ComponentKind::Vu),
+            (Resource::HbmDma, ComponentKind::Hbm),
+            (Resource::Ici, ComponentKind::Ici),
+        ] {
+            let weight_w = match unit {
+                Resource::HbmDma => {
                     model.static_power_w(ComponentKind::Hbm)
-                        + model.static_power_w(ComponentKind::Dma),
-                    &base.hbm,
-                ),
-                Resource::Ici => {
-                    if set.num_links() > 0 {
-                        // Pod traffic lives on the link resources below.
-                        continue;
-                    }
-                    (model.static_power_w(ComponentKind::Ici), &base.ici)
+                        + model.static_power_w(ComponentKind::Dma)
                 }
+                // Pod traffic lives on the link resources below.
+                Resource::Ici if set.num_links() > 0 => continue,
+                _ => model.static_power_w(kind),
             };
-            let eq = walked(policy.as_ref(), set.unit(chip, kind));
+            let eq = walked(kind, set.unit(chip, unit));
             add(weight_w, total as f64, eq, eq);
         }
         // SRAM: segment-level gating is a different mechanism; keep it
@@ -143,7 +147,7 @@ pub fn pod_static_gating(
         let link_w = model.static_power_w(ComponentKind::Ici) * set.num_chips() as f64
             / set.num_links() as f64;
         for l in 0..set.num_links() {
-            let eq = walked(base.ici.as_ref(), set.link(l));
+            let eq = walked(ComponentKind::Ici, set.link(l));
             add(link_w, total as f64, eq, eq);
         }
     }

@@ -2,15 +2,19 @@
 //!
 //! [`PolicyKind`] names a chip-wide power-management strategy; its
 //! [`config`](PolicyKind::config) method expands the name into a
-//! [`PolicyConfig`] — one [`npu_power::PowerPolicy`] per gateable
-//! component plus the SRAM and out-of-duty-cycle leakage treatments — that
-//! [`crate::Evaluator`] walks over the simulated timeline. The five ReGate
-//! design points of the paper are expressed as *presets* of the same
-//! machinery ([`PolicyKind::Preset`]), with bit-identical results to the
-//! original hard-coded evaluation; the extended kinds price the
-//! neighbouring design space (clock gating, DVFS, drowsy-everywhere,
-//! tile-grain re-gating, contents-aware SRAM write-back) on the *same*
-//! timeline so the comparison is apples to apples.
+//! [`PolicyConfig`]: a table from [`ComponentKind`] to the
+//! [`npu_power::PowerPolicy`] that walks that component's idle gaps, plus
+//! the systolic array's active-period rate and the out-of-duty-cycle
+//! leakage treatment. [`crate::Evaluator`] prices every component through
+//! its table entry over the simulated timeline; a component with no entry
+//! runs at full static power for the whole trace. The five ReGate design
+//! points of the paper are *presets* of the same table
+//! ([`PolicyKind::Preset`]); the extended kinds price the neighbouring
+//! design space (clock gating, DVFS, drowsy-everywhere, tile-grain
+//! re-gating, contents-aware SRAM write-back, whole-chip gating) on the
+//! *same* timeline so the comparison is apples to apples.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -23,6 +27,16 @@ use npu_power::{
 use npu_sim::CycleInterval;
 
 use crate::designs::Design;
+
+/// The components with their own busy timeline, each walked by its own
+/// idle-interval policy; their union idleness is the whole-chip idleness.
+pub const TIMELINE_UNITS: [ComponentKind; 5] = [
+    ComponentKind::Sa,
+    ComponentKind::Vu,
+    ComponentKind::Hbm,
+    ComponentKind::Ici,
+    ComponentKind::Dma,
+];
 
 /// A named chip-wide power-management strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,8 +106,14 @@ impl PolicyKind {
         }
     }
 
-    /// Expands the name into per-component policies for `gating`
+    /// Expands the name into its component→policy table for `gating`
     /// parameters on a chip described by `spec`.
+    ///
+    /// Every kind maps each of the [`TIMELINE_UNITS`]; most add an `Sram`
+    /// entry for the per-segment dead gaps, and `WholeChipFull` adds an
+    /// `Other` entry for the whole-chip gaps. `TileGrainBase`,
+    /// `ContentsAwareFull` and `WholeChipFull` replace or add entries in
+    /// their preset's table.
     #[must_use]
     pub fn config(self, gating: &GatingParams, spec: &NpuSpec) -> PolicyConfig {
         let leak = gating.leakage;
@@ -112,7 +132,6 @@ impl PolicyKind {
         // pipeline and never charged to the critical path.
         let retention =
             |mode: SramGateMode| IntervalGating::exposing(gating.sram_gating(mode), 0.0);
-        let sram_walk = |mode: SramGateMode| SramPolicy::Walk(Box::new(retention(mode)));
         // The systolic array walks at PE-level parameters under HW/Full
         // but only *full-array* wake-ups (intervals past the full-array
         // BET) stall the pipeline — the diagonal wavefront hides the rest.
@@ -125,158 +144,129 @@ impl PolicyKind {
             stall_delay: gating.sa_pe_delay,
             wake_exposure: 1.0,
         };
+        let per_component = |sram: f64| IdleLeakModel::PerComponent { logic: leak.logic_off, sram };
+        let build = |sa_active, policies, idle_leak| PolicyConfig {
+            kind: self,
+            sa_active,
+            policies,
+            idle_leak,
+        };
         match self {
-            PolicyKind::Preset(Design::NoPg) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(NoGating),
-                vu: Box::new(NoGating),
-                hbm: Box::new(NoGating),
-                ici: Box::new(NoGating),
-                dma: Box::new(NoGating),
-                sram: SramPolicy::FullPower,
-                whole_chip: None,
-                idle_leak: IdleLeakModel::Baseline,
-            },
-            PolicyKind::Preset(Design::ReGateBase) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(interval(ComponentKind::Sa, GatePolicy::IdleDetect, 1.0)),
-                vu: Box::new(interval(ComponentKind::Vu, GatePolicy::IdleDetect, 1.0)),
-                hbm: Box::new(interval(ComponentKind::Hbm, GatePolicy::IdleDetect, 1.0)),
-                ici: Box::new(interval(ComponentKind::Ici, GatePolicy::IdleDetect, 1.0)),
-                dma: Box::new(interval(ComponentKind::Dma, GatePolicy::IdleDetect, 1.0)),
-                sram: sram_walk(SramGateMode::Drowsy),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent {
-                    logic: leak.logic_off,
-                    sram: leak.sram_sleep,
-                },
-            },
-            PolicyKind::Preset(Design::ReGateHw) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::Spatial,
-                sa_idle: Box::new(sa_pe_level(GatePolicy::IdleDetect)),
-                vu: Box::new(interval(ComponentKind::Vu, GatePolicy::IdleDetect, 1.0)),
-                hbm: Box::new(interval(ComponentKind::Hbm, GatePolicy::IdleDetect, 0.5)),
-                ici: Box::new(interval(ComponentKind::Ici, GatePolicy::IdleDetect, 0.5)),
-                dma: Box::new(interval(ComponentKind::Dma, GatePolicy::IdleDetect, 0.5)),
-                sram: sram_walk(SramGateMode::Drowsy),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent {
-                    logic: leak.logic_off,
-                    sram: leak.sram_sleep,
-                },
-            },
-            PolicyKind::Preset(Design::ReGateFull) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::Spatial,
-                sa_idle: Box::new(sa_pe_level(GatePolicy::CompilerDirected)),
-                // `setpm on` is issued ahead of the next use, hiding the
-                // VU wake-up behind the preceding instructions.
-                vu: Box::new(interval(ComponentKind::Vu, GatePolicy::CompilerDirected, 0.0)),
-                hbm: Box::new(interval(ComponentKind::Hbm, GatePolicy::IdleDetect, 0.25)),
-                ici: Box::new(interval(ComponentKind::Ici, GatePolicy::IdleDetect, 0.25)),
-                dma: Box::new(interval(ComponentKind::Dma, GatePolicy::IdleDetect, 0.25)),
-                sram: sram_walk(SramGateMode::Off),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent {
-                    logic: leak.logic_off,
-                    sram: leak.sram_off,
-                },
-            },
-            PolicyKind::Preset(Design::Ideal) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::Utilization,
-                sa_idle: Box::new(IdealOff),
-                vu: Box::new(IdealOff),
-                hbm: Box::new(IdealOff),
-                ici: Box::new(IdealOff),
-                dma: Box::new(IdealOff),
-                sram: SramPolicy::Walk(Box::new(IdealOff)),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::Zero,
-            },
-            PolicyKind::ClockGating { residual } => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(ClockGating { residual }),
-                vu: Box::new(ClockGating { residual }),
-                hbm: Box::new(ClockGating { residual }),
-                ici: Box::new(ClockGating { residual }),
-                dma: Box::new(ClockGating { residual }),
-                // Clock gating cannot touch SRAM cell leakage: the
-                // scratchpad stays at full static power.
-                sram: SramPolicy::FullPower,
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent { logic: residual, sram: 1.0 },
-            },
-            PolicyKind::Dvfs { scale } => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(DvfsScaling { scale }),
-                vu: Box::new(DvfsScaling { scale }),
-                hbm: Box::new(DvfsScaling { scale }),
-                ici: Box::new(DvfsScaling { scale }),
-                dma: Box::new(DvfsScaling { scale }),
-                sram: SramPolicy::Walk(Box::new(DvfsScaling { scale })),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent { logic: scale, sram: scale },
-            },
-            PolicyKind::DrowsyEverywhere => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(retention(SramGateMode::Drowsy)),
-                vu: Box::new(retention(SramGateMode::Drowsy)),
-                hbm: Box::new(retention(SramGateMode::Drowsy)),
-                ici: Box::new(retention(SramGateMode::Drowsy)),
-                dma: Box::new(retention(SramGateMode::Drowsy)),
-                sram: sram_walk(SramGateMode::Drowsy),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent {
-                    logic: leak.sram_sleep,
-                    sram: leak.sram_sleep,
-                },
-            },
+            PolicyKind::Preset(Design::NoPg) => build(
+                SaActiveMode::FullPower,
+                units(|_| Box::new(NoGating)),
+                IdleLeakModel::Baseline,
+            ),
+            PolicyKind::Preset(Design::ReGateBase) => {
+                let mut policies =
+                    units(|kind| Box::new(interval(kind, GatePolicy::IdleDetect, 1.0)));
+                policies.insert(ComponentKind::Sram, Box::new(retention(SramGateMode::Drowsy)));
+                build(SaActiveMode::FullPower, policies, per_component(leak.sram_sleep))
+            }
+            PolicyKind::Preset(Design::ReGateHw) => {
+                let mut policies = units(|kind| match kind {
+                    ComponentKind::Sa => Box::new(sa_pe_level(GatePolicy::IdleDetect)),
+                    ComponentKind::Vu => Box::new(interval(kind, GatePolicy::IdleDetect, 1.0)),
+                    _ => Box::new(interval(kind, GatePolicy::IdleDetect, 0.5)),
+                });
+                policies.insert(ComponentKind::Sram, Box::new(retention(SramGateMode::Drowsy)));
+                build(SaActiveMode::Spatial, policies, per_component(leak.sram_sleep))
+            }
+            PolicyKind::Preset(Design::ReGateFull) => {
+                let mut policies = units(|kind| match kind {
+                    ComponentKind::Sa => Box::new(sa_pe_level(GatePolicy::CompilerDirected)),
+                    // `setpm on` is issued ahead of the next use, hiding the
+                    // VU wake-up behind the preceding instructions.
+                    ComponentKind::Vu => {
+                        Box::new(interval(kind, GatePolicy::CompilerDirected, 0.0))
+                    }
+                    _ => Box::new(interval(kind, GatePolicy::IdleDetect, 0.25)),
+                });
+                policies.insert(ComponentKind::Sram, Box::new(retention(SramGateMode::Off)));
+                build(SaActiveMode::Spatial, policies, per_component(leak.sram_off))
+            }
+            PolicyKind::Preset(Design::Ideal) => {
+                let mut policies = units(|_| Box::new(IdealOff));
+                policies.insert(ComponentKind::Sram, Box::new(IdealOff));
+                let idle_leak = IdleLeakModel::PerComponent { logic: 0.0, sram: 0.0 };
+                build(SaActiveMode::Utilization, policies, idle_leak)
+            }
+            // Clock gating cannot touch SRAM cell leakage: the scratchpad
+            // has no entry and stays at full static power.
+            PolicyKind::ClockGating { residual } => build(
+                SaActiveMode::FullPower,
+                units(|_| Box::new(ClockGating { residual })),
+                IdleLeakModel::PerComponent { logic: residual, sram: 1.0 },
+            ),
+            PolicyKind::Dvfs { scale } => {
+                let mut policies = units(|_| Box::new(DvfsScaling { scale }));
+                policies.insert(ComponentKind::Sram, Box::new(DvfsScaling { scale }));
+                let idle_leak = IdleLeakModel::PerComponent { logic: scale, sram: scale };
+                build(SaActiveMode::FullPower, policies, idle_leak)
+            }
+            PolicyKind::DrowsyEverywhere => {
+                let mut policies = units(|_| Box::new(retention(SramGateMode::Drowsy)));
+                policies.insert(ComponentKind::Sram, Box::new(retention(SramGateMode::Drowsy)));
+                let idle_leak =
+                    IdleLeakModel::PerComponent { logic: leak.sram_sleep, sram: leak.sram_sleep };
+                build(SaActiveMode::FullPower, policies, idle_leak)
+            }
             PolicyKind::TileGrainBase => {
                 let mut config = PolicyKind::Preset(Design::ReGateBase).config(gating, spec);
                 config.kind = self;
-                config.sa_idle = Box::new(TileGrainRegating {
-                    bet: gating.sa_full_bet,
-                    delay: gating.sa_full_delay,
-                    leak: leak.logic_off,
-                    tile_delay: gating.sa_pe_delay,
-                });
+                config.policies.insert(
+                    ComponentKind::Sa,
+                    Box::new(TileGrainRegating {
+                        bet: gating.sa_full_bet,
+                        delay: gating.sa_full_delay,
+                        leak: leak.logic_off,
+                        tile_delay: gating.sa_pe_delay,
+                    }),
+                );
                 // Vector units re-gate per lane group: Table 3 has no
                 // per-lane wake figure, so a tile wakes in half the
                 // full-unit delay — decode traces, which never touch the
                 // SA, see their Figure 19 overhead through this edge.
-                config.vu = Box::new(TileGrainRegating {
-                    bet: gating.vu_bet,
-                    delay: gating.vu_delay,
-                    leak: leak.logic_off,
-                    tile_delay: (gating.vu_delay / 2).max(1),
-                });
+                config.policies.insert(
+                    ComponentKind::Vu,
+                    Box::new(TileGrainRegating {
+                        bet: gating.vu_bet,
+                        delay: gating.vu_delay,
+                        leak: leak.logic_off,
+                        tile_delay: (gating.vu_delay / 2).max(1),
+                    }),
+                );
                 config
             }
             PolicyKind::ContentsAwareFull => {
                 let mut config = PolicyKind::Preset(Design::ReGateFull).config(gating, spec);
                 config.kind = self;
-                config.sram = SramPolicy::Walk(Box::new(WriteBackGating::for_segment(
-                    gating,
-                    spec.sram_geometry().segment_bytes(),
-                    spec.hbm_bytes_per_cycle(),
-                )));
+                config.policies.insert(
+                    ComponentKind::Sram,
+                    Box::new(WriteBackGating::for_segment(
+                        gating,
+                        spec.sram_geometry().segment_bytes(),
+                        spec.hbm_bytes_per_cycle(),
+                    )),
+                );
                 config
             }
             PolicyKind::WholeChipFull => {
                 let mut config = PolicyKind::Preset(Design::ReGateFull).config(gating, spec);
                 config.kind = self;
-                config.whole_chip = Some(Box::new(whole_chip_policy(gating)));
+                config.policies.insert(ComponentKind::Other, Box::new(whole_chip_policy(gating)));
                 config
             }
         }
     }
+}
+
+/// A policy table with one entry per [`TIMELINE_UNITS`] component, the
+/// policy `policy` builds for it.
+fn units(
+    policy: impl Fn(ComponentKind) -> Box<dyn PowerPolicy>,
+) -> BTreeMap<ComponentKind, Box<dyn PowerPolicy>> {
+    TIMELINE_UNITS.into_iter().map(|kind| (kind, policy(kind))).collect()
 }
 
 /// The chip-level walk over whole-chip idle intervals (every tracked
@@ -322,26 +312,15 @@ pub enum SaActiveMode {
     Utilization,
 }
 
-/// How the SRAM scratchpad's per-segment dead intervals are priced.
-#[derive(Debug)]
-pub enum SramPolicy {
-    /// Every segment stays at full static power for the whole run.
-    FullPower,
-    /// Dead intervals are walked by a policy (live intervals always burn
-    /// full power).
-    Walk(Box<dyn PowerPolicy>),
-}
-
 /// How the out-of-duty-cycle idle leakage (the idleness the simulated
 /// window cannot see) is attributed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IdleLeakModel {
     /// Full baseline idle leakage (nothing is gated between traces).
     Baseline,
-    /// No idle leakage at all (the Ideal roofline).
-    Zero,
     /// Baseline idle leakage scaled by each component's static-power
-    /// share weighted with its own off-state residual.
+    /// share weighted with its own off-state residual (both residuals 0
+    /// for the Ideal roofline, which leaks nothing).
     PerComponent {
         /// Residual of every non-SRAM component while the chip idles.
         logic: f64,
@@ -350,52 +329,31 @@ pub enum IdleLeakModel {
     },
 }
 
-/// Per-component power-management policies for one [`PolicyKind`].
+/// The component→policy table of one [`PolicyKind`].
+///
+/// Each entry names the [`PowerPolicy`] that walks one component's idle
+/// gaps: the [`TIMELINE_UNITS`] walk the gaps of their busy timelines,
+/// `Sram` walks the per-segment dead gaps, and `Other` walks the
+/// whole-chip gaps (every timeline unit quiet at once). A component with
+/// no entry runs at full static power for the whole trace.
 #[derive(Debug)]
 pub struct PolicyConfig {
     /// The kind this configuration was expanded from.
     pub kind: PolicyKind,
     /// Systolic-array active-period treatment.
     pub(crate) sa_active: SaActiveMode,
-    /// Systolic-array idle-interval policy.
-    pub(crate) sa_idle: Box<dyn PowerPolicy>,
-    /// Vector-unit idle-interval policy.
-    pub(crate) vu: Box<dyn PowerPolicy>,
-    /// HBM-controller idle-interval policy.
-    pub(crate) hbm: Box<dyn PowerPolicy>,
-    /// ICI-controller idle-interval policy.
-    pub(crate) ici: Box<dyn PowerPolicy>,
-    /// DMA-engine idle-interval policy (wakes with the HBM path it feeds).
-    pub(crate) dma: Box<dyn PowerPolicy>,
-    /// SRAM per-segment dead-interval policy.
-    pub(crate) sram: SramPolicy,
-    /// Chip-level policy walking *whole-chip* idle intervals (every
-    /// tracked component simultaneously quiet); `None` leaves the
-    /// peripheral logic always on.
-    pub(crate) whole_chip: Option<Box<dyn PowerPolicy>>,
+    /// The policy walking each component's idle gaps.
+    pub(crate) policies: BTreeMap<ComponentKind, Box<dyn PowerPolicy>>,
     /// Out-of-duty-cycle leakage attribution.
     pub(crate) idle_leak: IdleLeakModel,
 }
 
 impl PolicyConfig {
-    /// Every per-component policy in this configuration (for diagnostics
-    /// and analyzer verification).
+    /// Every per-component policy in this configuration, in component
+    /// order (for diagnostics and analyzer verification).
     #[must_use]
     pub fn component_policies(&self) -> Vec<&dyn PowerPolicy> {
-        let mut out: Vec<&dyn PowerPolicy> = vec![
-            self.sa_idle.as_ref(),
-            self.vu.as_ref(),
-            self.hbm.as_ref(),
-            self.ici.as_ref(),
-            self.dma.as_ref(),
-        ];
-        if let SramPolicy::Walk(policy) = &self.sram {
-            out.push(policy.as_ref());
-        }
-        if let Some(policy) = &self.whole_chip {
-            out.push(policy.as_ref());
-        }
-        out
+        self.policies.values().map(AsRef::as_ref).collect()
     }
 
     /// Configuration-consistency findings across every component policy.
@@ -440,12 +398,18 @@ mod tests {
         let gating = GatingParams::default();
         let spec = NpuSpec::generation(NpuGeneration::D);
         let config = PolicyKind::WholeChipFull.config(&gating, &spec);
-        assert!(config.whole_chip.is_some(), "chip-level policy must be armed");
+        assert!(
+            config.policies.contains_key(&ComponentKind::Other),
+            "chip-level policy is unarmed"
+        );
         assert!(config.consistency().is_empty(), "WholeChip-Full: inconsistent config");
         // ReGate-Full's six component policies plus the chip-level walk.
         assert_eq!(config.component_policies().len(), 7);
         let full = PolicyKind::Preset(Design::ReGateFull).config(&gating, &spec);
-        assert!(full.whole_chip.is_none(), "presets never gate the uncore");
+        assert!(
+            !full.policies.contains_key(&ComponentKind::Other),
+            "presets never gate the uncore"
+        );
         assert_eq!(PolicyKind::WholeChipFull.label(), "WholeChip-Full");
     }
 

@@ -12,9 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use npu_arch::{ChipConfig, ComponentKind};
+use npu_arch::ChipConfig;
 use npu_power::GatingParams;
 use npu_sim::RunCounters;
+use regate::policy::TIMELINE_UNITS;
 use regate::{Design, Evaluator, PolicyKind};
 use serde::{Deserialize, Serialize};
 
@@ -108,16 +109,7 @@ impl ServingReport {
         let gateable: u64 = outcome
             .simulation
             .busy_timeline()
-            .union_idle_intervals(
-                &[
-                    ComponentKind::Sa,
-                    ComponentKind::Vu,
-                    ComponentKind::Hbm,
-                    ComponentKind::Ici,
-                    ComponentKind::Dma,
-                ],
-                total_cycles,
-            )
+            .union_idle_intervals(&TIMELINE_UNITS, total_cycles)
             .iter()
             .filter(|iv| GatingParams::gates_interval(chip_bet, iv.len()))
             .map(npu_sim::CycleInterval::len)

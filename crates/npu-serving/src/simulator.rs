@@ -355,14 +355,41 @@ impl ServingSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the workload carries zero samples per request.
+    /// Panics if no valid parallelism configuration exists for the
+    /// deployment (use [`ServingSimulator::try_new`] to handle the denial
+    /// programmatically), or if the workload carries zero samples per
+    /// request.
     #[must_use]
     pub fn new(generation: NpuGeneration, num_chips: usize, workload: Workload) -> Self {
+        Self::try_new(generation, num_chips, workload).unwrap_or_else(|report| {
+            panic!(
+                "infeasible deployment of {workload} on {num_chips} chip(s):\n{}",
+                report.render()
+            )
+        })
+    }
+
+    /// Like [`ServingSimulator::new`], but reports an infeasible
+    /// deployment instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AnalysisReport`] carrying a
+    /// `topo.parallelism-infeasible` denial when no valid parallelism
+    /// configuration exists for the deployment
+    /// ([`analysis::feasible_parallelism`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload carries zero samples per request.
+    pub fn try_new(
+        generation: NpuGeneration,
+        num_chips: usize,
+        workload: Workload,
+    ) -> Result<Self, AnalysisReport> {
         let chip = ChipConfig::new(generation, num_chips);
-        let parallelism = workload
-            .default_parallelism(chip.spec(), num_chips)
-            .unwrap_or_else(|| ParallelismConfig::new(num_chips, 1, 1));
-        Self::with_parallelism(generation, num_chips, workload, parallelism)
+        let parallelism = analysis::feasible_parallelism(&workload, chip.spec(), num_chips)?;
+        Ok(Self::with_parallelism(generation, num_chips, workload, parallelism))
     }
 
     /// Like [`ServingSimulator::new`] with an explicit parallelism.
@@ -729,6 +756,31 @@ mod tests {
         let simulator = dlrm_simulator();
         let outcome = simulator.run(&ARRIVALS, &POLICY);
         (simulator, outcome)
+    }
+
+    /// Two-sequence Llama3-70B decode: its weights fit one NPU-D chip's
+    /// HBM under no split.
+    fn infeasible_on_one_chip() -> Workload {
+        use npu_models::{LlamaModel, LlmPhase};
+        Workload::llm(LlamaModel::Llama3_70B, LlmPhase::Decode).with_batch(2)
+    }
+
+    #[test]
+    fn infeasible_deployments_are_denied_not_fabricated() {
+        let report = ServingSimulator::try_new(NpuGeneration::D, 1, infeasible_on_one_chip())
+            .expect_err("70B decode cannot fit one chip");
+        assert!(!report.is_schedulable());
+        assert!(
+            report.denials().any(|d| d.rule_id == rules::TOPO_PARALLELISM_INFEASIBLE),
+            "{}",
+            report.render()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "topo.parallelism-infeasible")]
+    fn new_panics_on_an_infeasible_deployment() {
+        let _ = ServingSimulator::new(NpuGeneration::D, 1, infeasible_on_one_chip());
     }
 
     /// Corrupted-record fixtures: each edit of a clean outcome and the

@@ -39,10 +39,10 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 
 use npu_compiler::{CompiledGraph, SramAllocation};
-use npu_models::RequestGraph;
+use npu_models::{RequestGraph, Workload};
 use npu_power::{GatingParams, GatingRule, PolicyRule, PowerPolicy};
 
-use npu_arch::LinkGraph;
+use npu_arch::{LinkGraph, NpuSpec, ParallelismConfig};
 
 use crate::engine::{SimulationResult, DISPATCH_OVERHEAD_CYCLES};
 use crate::timeline::{
@@ -176,7 +176,7 @@ pub mod rules {
     pub const TOPO_COLLECTIVE_LINKS_MISMATCH: &str = "topo.collective-links-mismatch";
     /// No valid parallelism configuration exists for the requested
     /// (workload, chip count) — the evaluation would have to fabricate
-    /// one (deny). Emitted by the core evaluation layer.
+    /// one (deny). Emitted by [`super::feasible_parallelism`].
     pub const TOPO_PARALLELISM_INFEASIBLE: &str = "topo.parallelism-infeasible";
 
     /// Two slices of one exported display track overlap — a resource with
@@ -752,7 +752,7 @@ pub fn check_phase_graph(phases: &[OpPhases]) -> Vec<Diagnostic> {
 }
 
 /// Computes the static makespan window of a phase vector under a release
-/// vector (`releases` empty = use each phase's embedded release cycle).
+/// vector (`releases` empty = every operator released at cycle 0).
 ///
 /// Requires a structurally sound phase vector — run [`check_phase_graph`]
 /// first; producer indices `>= k` are ignored here rather than trusted.
@@ -776,13 +776,8 @@ pub fn makespan_window_for(
     set: &ResourceSet,
 ) -> MakespanWindow {
     let n = phases.len();
-    let release = |k: usize| -> u64 {
-        if releases.is_empty() {
-            phases[k].release_cycle
-        } else {
-            releases.get(k).copied().unwrap_or(0)
-        }
-    };
+    // An empty release vector releases every operator at cycle 0.
+    let release = |k: usize| -> u64 { releases.get(k).copied().unwrap_or(0) };
 
     // Critical path with release clamping: finish[k] is a lower bound on
     // operator k's completion in ANY schedule the engine can produce —
@@ -1099,6 +1094,37 @@ pub fn analyze_pod(
     }
     report.makespan_window = Some(window);
     report
+}
+
+/// The workload's default parallelism on `num_chips` chips of `spec`
+/// ([`Workload::default_parallelism`]), or a report carrying a
+/// `topo.parallelism-infeasible` denial when no legal split fits — the
+/// one check every entry point runs instead of fabricating a split whose
+/// weights do not fit the deployment's HBM.
+///
+/// # Errors
+///
+/// Returns the denial report when the workload's memory demand exceeds
+/// the deployment's aggregate HBM under every (data, tensor, pipeline)
+/// split.
+pub fn feasible_parallelism(
+    workload: &Workload,
+    spec: &NpuSpec,
+    num_chips: usize,
+) -> Result<ParallelismConfig, AnalysisReport> {
+    workload.default_parallelism(spec, num_chips).ok_or_else(|| {
+        let mut report = AnalysisReport::new();
+        report.extend([Diagnostic::deny(
+            rules::TOPO_PARALLELISM_INFEASIBLE,
+            None,
+            format!(
+                "no valid parallelism configuration for {workload} on {num_chips} chip(s): the \
+                 workload's memory demand exceeds the deployment's aggregate HBM under every \
+                 legal (data, tensor, pipeline) split"
+            ),
+        )]);
+        report
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1627,7 +1653,6 @@ mod tests {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 1,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             };

@@ -310,7 +310,6 @@ impl Simulator {
             fused_vu_cycles: fused_vu,
             dispatch_cycles: DISPATCH_OVERHEAD_CYCLES,
             sa_active_cycles: sa_active,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: None,
         };

@@ -180,7 +180,6 @@ fn sa_phase(main_cycles: u64, producers: Vec<usize>) -> OpPhases {
         fused_vu_cycles: 0,
         dispatch_cycles: 100,
         sa_active_cycles: main_cycles,
-        release_cycle: 0,
         producers,
         collective: None,
     }

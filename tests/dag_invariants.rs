@@ -63,7 +63,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: fused,
                 dispatch_cycles: 100,
                 sa_active_cycles: active,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }
@@ -79,7 +78,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }
@@ -94,7 +92,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }
@@ -109,7 +106,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }

@@ -9,17 +9,20 @@
 //! stay sorted and disjoint (no double-booking), the lowering agrees with
 //! the fabric under the `topo.*` analyzer pass, repeated runs are
 //! bit-identical, the measured makespan lands inside the static window,
-//! and the component timeline derived from the per-resource tracks equals
-//! a live kind-level recording of the engine's hooks.
+//! the component timeline derived from the per-resource tracks equals a
+//! live kind-level recording of the engine's hooks, and pod pricing's
+//! watt-cycle totals match a recorded digest bit for bit.
 
-use npu_arch::{LinkGraph, PodTopology, TorusKind};
+use npu_arch::{LinkGraph, NpuGeneration, NpuSpec, PodTopology, TorusKind};
 use npu_compiler::CollectivePlan;
 use npu_models::CollectiveKind;
+use npu_power::GatingParams;
 use npu_sim::analysis::{self, rules};
 use npu_sim::engine::DISPATCH_OVERHEAD_CYCLES;
-use npu_sim::pod::PodBuilder;
+use npu_sim::pod::{pipeline_trace, PodBuilder};
 use npu_sim::timeline::TimelineEngine;
 use npu_sim::{EngineScratch, Resource, ResourceId, Schedule, TraceRecorder};
+use regate::pod_static_gating;
 use regate_bench::Fnv1a as Fnv;
 
 mod common;
@@ -259,6 +262,39 @@ fn seeded_pod_counters_match_the_recorded_digest() {
         "pod event-loop counters drifted (measured: 0x{:016X})",
         fnv.digest()
     );
+}
+
+/// FNV-1a of the three watt-cycle totals of `pod_static_gating`, as bits,
+/// over every `run_pod(0..16)` schedule and pipeline pods on 1, 4 and 16
+/// chips of both tori, recorded before pod pricing read the `ReGate-Base`
+/// policies from the component table.
+const POD_PRICING_GOLDEN: u64 = 0x05CD_F2F8_2F16_D3C3;
+
+#[test]
+fn seeded_pod_pricing_matches_the_recorded_digest() {
+    let gating = GatingParams::default();
+    let spec = NpuSpec::generation(NpuGeneration::D);
+    let mut fnv = Fnv::new();
+    let mut push = |schedule: &Schedule| {
+        let r = pod_static_gating(schedule, &gating, &spec);
+        for total in [r.baseline_watt_cycles, r.per_component_watt_cycles, r.whole_chip_watt_cycles]
+        {
+            fnv.push(total.to_bits());
+        }
+    };
+    for seed in 0..16u64 {
+        push(&run_pod(seed).2);
+    }
+    // The 1-chip fabric has no links, so its chip ICI unit is priced.
+    for torus_kind in [TorusKind::Torus2D, TorusKind::Torus3D] {
+        for chips in [1usize, 4, 16] {
+            let graph = torus(torus_kind, chips);
+            let stages: Vec<u64> = (0..chips as u64).map(|s| 6_000 + 4_000 * (s * 7 % 5)).collect();
+            push(&pipeline_trace(&graph, &stages, 8).engine().run());
+        }
+    }
+    let digest = fnv.digest();
+    assert_eq!(digest, POD_PRICING_GOLDEN, "pod pricing drifted (measured: 0x{digest:016X})");
 }
 
 /// Pod seeds the live kind oracle covers.

@@ -61,7 +61,6 @@ fn random_dag(rng: &mut Rng, n: usize) -> Vec<OpPhases> {
             fused_vu_cycles: 0,
             dispatch_cycles: 100,
             sa_active_cycles: if unit == Resource::Sa { main } else { 0 },
-            release_cycle: 0,
             producers,
             collective: None,
         });
@@ -307,7 +306,6 @@ fn source(unit: Resource, main: u64) -> OpPhases {
         fused_vu_cycles: 0,
         dispatch_cycles: 100,
         sa_active_cycles: if unit == Resource::Sa { main } else { 0 },
-        release_cycle: 0,
         producers: Vec::new(),
         collective: None,
     }
