@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 use npu_arch::NpuSpec;
 use npu_models::{ExecutionUnit, Operator, OperatorGraph};
 
+use crate::adjacency::Adjacency;
 use crate::fusion::FusionPlan;
 use crate::tiling::TileChoice;
 
@@ -61,17 +62,57 @@ fn own_vu_elements(op: &Operator) -> u64 {
     }
 }
 
+/// Anchor position of an operator whose `folded_into` names no anchor of
+/// its graph (only [`CompiledGraph::from_parts`] can build one).
+const NO_ANCHOR: usize = usize::MAX;
+
 /// A fully compiled operator graph.
+///
+/// Besides the operators it records, once, where they execute: the ids of
+/// the fusion anchors and every operator's anchor position. Operator
+/// names are shared ([`npu_models::Operator::name`]) and the producer
+/// edges live in one [`Adjacency`], so [`CompiledGraph::extend_from`]
+/// copies plain records instead of rebuilding strings and lists.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledGraph {
     name: String,
     ops: Vec<CompiledOp>,
-    /// `producers[id]`: anchor ids the fusion group anchored at `id`
+    /// `producers.of(id)`: anchor ids the fusion group anchored at `id`
     /// consumes from (deduplicated, ascending; empty for folded operators
     /// and for source anchors). Edges of folded operators are remapped to
     /// their anchors, so the set is the complete dependency frontier of
     /// the anchor's whole group.
-    producers: Vec<Vec<usize>>,
+    producers: Adjacency,
+    /// Ids of the fusion anchors in ascending order — the anchor order
+    /// the simulator's per-anchor vectors use.
+    anchor_ids: Vec<usize>,
+    /// `positions[id]`: index into `anchor_ids` of the anchor executing
+    /// operator `id` ([`NO_ANCHOR`] when `folded_into` names no anchor).
+    positions: Vec<usize>,
+}
+
+/// The anchor ids of `ops` and every operator's anchor position: an
+/// anchor maps to its own index among the anchors, a folded operator to
+/// its anchor's, and a `folded_into` that names no anchor of `ops` (out
+/// of range, or a folded operator) to [`NO_ANCHOR`].
+fn anchor_index(ops: &[CompiledOp]) -> (Vec<usize>, Vec<usize>) {
+    let mut anchor_ids = Vec::new();
+    let mut positions = vec![NO_ANCHOR; ops.len()];
+    for (id, op) in ops.iter().enumerate() {
+        if op.is_anchor() {
+            positions[id] = anchor_ids.len();
+            anchor_ids.push(id);
+        }
+    }
+    for (id, op) in ops.iter().enumerate() {
+        if let Some(anchor) = op.folded_into {
+            positions[id] = match ops.get(anchor) {
+                Some(target) if target.is_anchor() => positions[anchor],
+                _ => NO_ANCHOR,
+            };
+        }
+    }
+    (anchor_ids, positions)
 }
 
 impl CompiledGraph {
@@ -79,7 +120,13 @@ impl CompiledGraph {
     /// compiled subgraphs with [`CompiledGraph::extend_from`].
     #[must_use]
     pub fn empty(name: impl Into<String>) -> Self {
-        CompiledGraph { name: name.into(), ops: Vec::new(), producers: Vec::new() }
+        CompiledGraph {
+            name: name.into(),
+            ops: Vec::new(),
+            producers: Adjacency::new(),
+            anchor_ids: Vec::new(),
+            positions: Vec::new(),
+        }
     }
 
     /// Assembles a compiled graph from raw parts *without validating the
@@ -95,6 +142,12 @@ impl CompiledGraph {
     /// compiler) assemble graphs here and run
     /// `npu-sim`'s analysis pass to find out whether they are schedulable,
     /// instead of discovering it as an engine panic mid-simulation.
+    ///
+    /// The per-operator `producers` lists are flattened into one
+    /// [`Adjacency`], and the anchor index is recorded here as in
+    /// [`Compiler::compile`]. A `folded_into` that names no anchor of the
+    /// graph gets the anchor position `usize::MAX` instead of a panic
+    /// (see [`CompiledGraph::anchor_positions`]).
     ///
     /// # Panics
     ///
@@ -112,7 +165,19 @@ impl CompiledGraph {
             producers.len(),
             "from_parts: one producer list per compiled operator"
         );
-        CompiledGraph { name: name.into(), ops, producers }
+        let (anchor_ids, positions) = anchor_index(&ops);
+        CompiledGraph { name: name.into(), ops, producers: producers.into(), anchor_ids, positions }
+    }
+
+    /// Reserves room to append `ops` more operators, `anchors` of them
+    /// anchors, carrying `edges` more producer edges — the totals of the
+    /// graphs about to be appended with [`CompiledGraph::extend_from`], so
+    /// that the buffers grow once, to their final size.
+    pub fn reserve(&mut self, ops: usize, anchors: usize, edges: usize) {
+        self.ops.reserve(ops);
+        self.producers.reserve(ops, edges);
+        self.anchor_ids.reserve(anchors);
+        self.positions.reserve(ops);
     }
 
     /// Appends another compiled graph's operators, remapping operator ids,
@@ -125,18 +190,29 @@ impl CompiledGraph {
     /// is bit-for-bit identical to compiling the concatenated operator
     /// graph. That equivalence is what lets a serving run reuse cached
     /// compilations of repeated batch shapes.
+    ///
+    /// The append copies records only: operator names are shared
+    /// pointers, the producer edges and the anchor index are shifted
+    /// copies of `other`'s (an anchor position of `usize::MAX` stays
+    /// `usize::MAX`), and nothing is rescanned.
     pub fn extend_from(&mut self, other: &CompiledGraph) -> std::ops::Range<usize> {
         let base = self.ops.len();
-        self.ops.reserve(other.ops.len());
-        for op in &other.ops {
+        let anchor_base = self.anchor_ids.len();
+        self.ops.extend(other.ops.iter().map(|op| {
             let mut op = op.clone();
             op.op.id += base;
             op.folded_into = op.folded_into.map(|anchor| anchor + base);
-            self.ops.push(op);
-        }
-        self.producers.reserve(other.producers.len());
-        self.producers
-            .extend(other.producers.iter().map(|set| set.iter().map(|&p| p + base).collect()));
+            op
+        }));
+        self.producers.extend_shifted(&other.producers, base);
+        self.anchor_ids.extend(other.anchor_ids.iter().map(|&id| id + base));
+        self.positions.extend(other.positions.iter().map(|&position| {
+            if position == NO_ANCHOR {
+                NO_ANCHOR
+            } else {
+                position + anchor_base
+            }
+        }));
         base..self.ops.len()
     }
 
@@ -150,21 +226,36 @@ impl CompiledGraph {
     /// (empty for folded operators and source anchors).
     #[must_use]
     pub fn producers_of(&self, id: usize) -> &[usize] {
-        self.producers.get(id).map(Vec::as_slice).unwrap_or(&[])
+        self.producers.of(id)
+    }
+
+    /// Number of producer edges over all operators.
+    #[must_use]
+    pub fn num_edges(&self) -> usize {
+        self.producers.num_edges()
     }
 
     /// Per-anchor producer sets remapped to *anchor positions* (indices
-    /// into the [`CompiledGraph::anchors`] iteration order) — the layout
-    /// the timeline engine consumes.
+    /// into the [`CompiledGraph::anchors`] iteration order), as one CSR
+    /// [`Adjacency`] — the layout the timeline engine consumes, and the
+    /// one producer store a `PreparedSimulator` and every result it
+    /// returns share. A producer that is not an anchor (a malformed
+    /// [`CompiledGraph::from_parts`] graph) maps to `usize::MAX`.
     #[must_use]
-    pub fn anchor_producers(&self) -> Vec<Vec<usize>> {
-        let mut position = vec![usize::MAX; self.ops.len()];
-        for (index, op) in self.anchors().enumerate() {
-            position[op.op.id] = index;
+    pub fn anchor_producers(&self) -> Adjacency {
+        let mut adjacency = Adjacency::new();
+        adjacency.reserve(self.anchor_ids.len(), self.producers.num_edges());
+        for &id in &self.anchor_ids {
+            adjacency.push(self.producers.of(id).iter().map(|&p| {
+                let position = self.positions[p];
+                if self.anchor_ids.get(position) == Some(&p) {
+                    position
+                } else {
+                    NO_ANCHOR
+                }
+            }));
         }
-        self.anchors()
-            .map(|op| self.producers[op.op.id].iter().map(|&p| position[p]).collect())
-            .collect()
+        adjacency
     }
 
     /// For every compiled operator, the *anchor position* (index into the
@@ -173,13 +264,13 @@ impl CompiledGraph {
     /// folded operator maps to its anchor's position; an anchor maps to
     /// its own. The serving layer uses this to find which scheduled
     /// anchors a request's operator range landed on.
+    ///
+    /// Recorded when the graph is built, never rescanned. A folded
+    /// operator whose `folded_into` names no anchor (only
+    /// [`CompiledGraph::from_parts`] can build one) maps to `usize::MAX`.
     #[must_use]
-    pub fn anchor_positions(&self) -> Vec<usize> {
-        let mut position = vec![usize::MAX; self.ops.len()];
-        for (index, op) in self.anchors().enumerate() {
-            position[op.op.id] = index;
-        }
-        self.ops.iter().enumerate().map(|(id, op)| position[op.folded_into.unwrap_or(id)]).collect()
+    pub fn anchor_positions(&self) -> &[usize] {
+        &self.positions
     }
 
     /// All compiled operators (anchors and folded operators) in order.
@@ -200,15 +291,24 @@ impl CompiledGraph {
         self.ops.is_empty()
     }
 
-    /// Iterator over the fusion anchors (the operators the simulator runs).
-    pub fn anchors(&self) -> impl Iterator<Item = &CompiledOp> {
-        self.ops.iter().filter(|op| op.is_anchor())
+    /// The fusion anchors (the operators the simulator runs) in id order,
+    /// walked through the recorded anchor ids rather than a scan of every
+    /// operator.
+    pub fn anchors(&self) -> impl ExactSizeIterator<Item = &CompiledOp> {
+        self.anchor_ids.iter().map(|&id| &self.ops[id])
     }
 
-    /// Number of anchors.
+    /// Ids of the fusion anchors, ascending: `anchor_ids()[k]` is the
+    /// operator id at anchor position `k`.
+    #[must_use]
+    pub fn anchor_ids(&self) -> &[usize] {
+        &self.anchor_ids
+    }
+
+    /// Number of anchors, in O(1).
     #[must_use]
     pub fn num_anchors(&self) -> usize {
-        self.anchors().count()
+        self.anchor_ids.len()
     }
 
     /// Per-anchor SRAM demand in MiB, in execution order (input to the
@@ -295,9 +395,14 @@ impl Compiler {
                 }
             }
         }
-        let producers = producer_sets.into_iter().map(|s| s.into_iter().collect()).collect();
+        let mut producers = Adjacency::new();
+        producers.reserve(ops.len(), producer_sets.iter().map(|set| set.len()).sum());
+        for set in producer_sets {
+            producers.push(set);
+        }
+        let (anchor_ids, positions) = anchor_index(&ops);
 
-        CompiledGraph { name: graph.name().to_string(), ops, producers }
+        CompiledGraph { name: graph.name().to_string(), ops, producers, anchor_ids, positions }
     }
 }
 
@@ -404,7 +509,7 @@ mod tests {
         assert_eq!(compiled.num_anchors(), 2);
         assert_eq!(compiled.producers_of(0), &[] as &[usize]);
         assert_eq!(compiled.producers_of(3), &[0]);
-        assert_eq!(compiled.anchor_producers(), vec![vec![], vec![0]]);
+        assert_eq!(compiled.anchor_producers(), Adjacency::from(vec![vec![], vec![0]]));
     }
 
     #[test]
@@ -431,7 +536,99 @@ mod tests {
         let compiled = compiler().compile(&g);
         assert_eq!(compiled.num_anchors(), 3, "a fan-in join is never folded");
         assert_eq!(compiled.producers_of(2), &[0, 1]);
-        assert_eq!(compiled.anchor_producers(), vec![vec![], vec![], vec![0, 1]]);
+        assert_eq!(compiled.anchor_producers(), Adjacency::from(vec![vec![], vec![], vec![0, 1]]));
+    }
+
+    /// The anchor ids by a scan of every operator — the definition
+    /// [`CompiledGraph::anchors`] had before the index was recorded.
+    fn scanned_anchor_ids(graph: &CompiledGraph) -> Vec<usize> {
+        (0..graph.len()).filter(|&id| graph.ops()[id].is_anchor()).collect()
+    }
+
+    /// The op → anchor-position map by a scan through `folded_into` — the
+    /// definition [`CompiledGraph::anchor_positions`] had before the index
+    /// was recorded. Where that scan indexed out of range (and panicked),
+    /// this one reads the sentinel.
+    fn scanned_positions(graph: &CompiledGraph) -> Vec<usize> {
+        let mut position = vec![usize::MAX; graph.len()];
+        for (index, id) in scanned_anchor_ids(graph).into_iter().enumerate() {
+            position[id] = index;
+        }
+        graph
+            .ops()
+            .iter()
+            .enumerate()
+            .map(|(id, op)| {
+                position.get(op.folded_into.unwrap_or(id)).copied().unwrap_or(usize::MAX)
+            })
+            .collect()
+    }
+
+    /// The recorded anchor index equals the scans, and `anchors()` is an
+    /// exact-size walk of exactly the scanned anchors.
+    fn assert_index_matches_scan(graph: &CompiledGraph) {
+        let ids = scanned_anchor_ids(graph);
+        assert_eq!(graph.anchor_ids(), ids.as_slice());
+        assert_eq!(graph.num_anchors(), ids.len());
+        let anchors = graph.anchors();
+        assert_eq!(anchors.len(), ids.len());
+        for (anchor, &id) in anchors.zip(&ids) {
+            assert!(std::ptr::eq(anchor, &graph.ops()[id]), "anchors() skipped or reordered {id}");
+        }
+        assert_eq!(graph.anchor_positions(), scanned_positions(graph).as_slice());
+    }
+
+    #[test]
+    fn recorded_anchor_index_matches_the_scans_on_compiled_graphs() {
+        let graphs = [
+            Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Prefill)
+                .build_graph(&ParallelismConfig::single()),
+            Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode)
+                .build_graph(&ParallelismConfig::single()),
+            Workload::dlrm(DlrmSize::Small).build_graph(&ParallelismConfig::new(8, 1, 1)),
+            npu_models::OperatorGraph::new("empty"),
+        ];
+        for graph in &graphs {
+            let compiled = compiler().compile(graph);
+            assert_index_matches_scan(&compiled);
+            assert_eq!(compiled.anchor_producers().len(), compiled.num_anchors());
+        }
+    }
+
+    #[test]
+    fn malformed_folded_into_maps_to_the_sentinel_without_panicking() {
+        let wl = Workload::dlrm(DlrmSize::Small);
+        let compiled = compiler().compile(&wl.build_graph(&ParallelismConfig::single()));
+        let mut ops = compiled.ops().to_vec();
+        let producers: Vec<Vec<usize>> =
+            (0..ops.len()).map(|id| compiled.producers_of(id).to_vec()).collect();
+        let folded = (0..ops.len()).find(|&id| !ops[id].is_anchor()).expect("DLRM fuses");
+        // Out of range, onto itself, and onto a folded operator.
+        ops[1].folded_into = Some(ops.len() + 7);
+        ops[2].folded_into = Some(2);
+        ops[3].folded_into = Some(folded);
+        let broken = CompiledGraph::from_parts("broken", ops, producers);
+        assert_index_matches_scan(&broken);
+        for id in 1..=3 {
+            assert_eq!(broken.anchor_positions()[id], usize::MAX, "op {id}");
+        }
+
+        // Appending keeps a sentinel a sentinel and shifts everything else.
+        let mut concat = CompiledGraph::empty("concat");
+        concat.extend_from(&compiled);
+        let second = concat.extend_from(&broken);
+        for id in 1..=3 {
+            assert_eq!(concat.anchor_positions()[second.start + id], usize::MAX, "op {id}");
+        }
+        assert_eq!(concat.num_anchors(), compiled.num_anchors() + broken.num_anchors());
+        assert_eq!(
+            concat.anchor_positions()[second.start..],
+            broken
+                .anchor_positions()
+                .iter()
+                .map(|&p| if p == usize::MAX { p } else { p + compiled.num_anchors() })
+                .collect::<Vec<_>>()[..]
+        );
     }
 
     #[test]
@@ -484,6 +681,19 @@ mod tests {
         }
         assert_eq!(concat.anchor_positions(), reference.anchor_positions());
         assert_eq!(concat.anchor_producers(), reference.anchor_producers());
+        assert_index_matches_scan(&concat);
+        assert_index_matches_scan(&reference);
+
+        // A concatenation sized up front holds the same graph.
+        let mut sized = CompiledGraph::empty("combined");
+        sized.reserve(
+            2 * sub_compiled.len(),
+            2 * sub_compiled.num_anchors(),
+            2 * sub_compiled.num_edges(),
+        );
+        sized.extend_from(&sub_compiled);
+        sized.extend_from(&sub_compiled);
+        assert_eq!(sized, concat);
     }
 
     #[test]

@@ -110,9 +110,9 @@ impl SramAllocation {
     pub fn allocate(graph: &CompiledGraph, geometry: SramGeometry) -> Self {
         let capacity = geometry.total_bytes();
         let half = capacity / 2;
-        let mut buffers = Vec::new();
-        let anchors: Vec<_> = graph.anchors().collect();
-        for (index, anchor) in anchors.iter().enumerate() {
+        let num_anchors = graph.num_anchors();
+        let mut buffers = Vec::with_capacity(num_anchors);
+        for (index, anchor) in graph.anchors().enumerate() {
             let size = anchor.tile.sram_used_bytes.min(half).max(geometry.segment_bytes());
             // Round to whole segments.
             let size = geometry.segment_bytes() * geometry.segments_for_bytes(size) as u64;
@@ -122,10 +122,10 @@ impl SramAllocation {
                 start_addr,
                 size_bytes: size.min(half),
                 live_from: index.saturating_sub(1),
-                live_to: (index + 1).min(anchors.len().saturating_sub(1)),
+                live_to: (index + 1).min(num_anchors.saturating_sub(1)),
             });
         }
-        SramAllocation { geometry, buffers, num_anchors: anchors.len() }
+        SramAllocation { geometry, buffers, num_anchors }
     }
 
     /// Builds an allocation from an explicit buffer set (synthetic

@@ -38,7 +38,7 @@ impl Default for ExpansionLimits {
 /// less than the operator's total tile count when capped by `limits`).
 #[must_use]
 pub fn expand_operator(op: &CompiledOp, spec: &NpuSpec, limits: ExpansionLimits) -> (Program, u64) {
-    let mut program = Program::new(op.op.name.clone());
+    let mut program = Program::new(&*op.op.name);
     let tiles = op.tile.num_tiles.min(limits.max_tiles).max(1);
     let sa_rows = spec.sa_width as u32;
     let vu_capacity = spec.vu_elems_per_cycle() as u64;

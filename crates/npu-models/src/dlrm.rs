@@ -333,17 +333,17 @@ mod tests {
     fn distributed_dlrm_has_alltoall() {
         let cfg = DlrmConfig::default_config(DlrmSize::Small);
         let dist = cfg.build_graph(&ParallelismConfig::new(8, 1, 1));
-        assert!(dist.iter().any(|op| op.name == "embedding_alltoall"));
+        assert!(dist.iter().any(|op| &*op.name == "embedding_alltoall"));
         assert!(dist.total_ici_bytes() > 0.0);
         let single = cfg.build_graph(&ParallelismConfig::single());
-        assert!(!single.iter().any(|op| op.name == "embedding_alltoall"));
+        assert!(!single.iter().any(|op| &*op.name == "embedding_alltoall"));
     }
 
     #[test]
     fn interaction_maps_to_vu() {
         let cfg = DlrmConfig::default_config(DlrmSize::Small);
         let g = cfg.build_graph(&ParallelismConfig::new(8, 1, 1));
-        let interaction = g.iter().find(|op| op.name == "interaction").unwrap();
+        let interaction = g.iter().find(|op| &*op.name == "interaction").unwrap();
         assert_eq!(interaction.execution_unit(), ExecutionUnit::Vu);
     }
 
@@ -367,11 +367,11 @@ mod tests {
         let local_tables = (cfg.num_tables / 8) as usize;
         assert_eq!(g.sources().len(), local_tables + 1);
         // The all-to-all fans in over every pool.
-        let a2a = g.iter().find(|op| op.name == "embedding_alltoall").unwrap();
+        let a2a = g.iter().find(|op| &*op.name == "embedding_alltoall").unwrap();
         assert_eq!(g.producers_of(a2a.id).len(), local_tables);
         // The interaction joins the exchanged embeddings with the dense
         // branch (fan-in of 2).
-        let interaction = g.iter().find(|op| op.name == "interaction").unwrap();
+        let interaction = g.iter().find(|op| &*op.name == "interaction").unwrap();
         assert_eq!(g.producers_of(interaction.id).len(), 2);
         // Still a valid topological order end to end.
         assert_eq!(g.topological_order().len(), g.len());
@@ -381,7 +381,7 @@ mod tests {
     fn single_chip_interaction_joins_every_pool() {
         let cfg = DlrmConfig::default_config(DlrmSize::Small);
         let g = cfg.build_graph(&ParallelismConfig::single());
-        let interaction = g.iter().find(|op| op.name == "interaction").unwrap();
+        let interaction = g.iter().find(|op| &*op.name == "interaction").unwrap();
         // No all-to-all on one chip: the interaction reads each pooled
         // table directly, plus the bottom-MLP output.
         assert_eq!(g.producers_of(interaction.id).len(), cfg.num_tables as usize + 1);

@@ -320,7 +320,7 @@ mod tests {
         for (i, op) in g.iter().enumerate() {
             assert_eq!(op.id, i);
         }
-        assert_eq!(g.get(1).unwrap().name, "relu");
+        assert_eq!(&*g.get(1).unwrap().name, "relu");
         assert!(g.get(99).is_none());
     }
 

@@ -832,9 +832,9 @@ mod tests {
     fn training_includes_gradient_allreduce_with_dp() {
         let wl = LlmWorkload::default_config(LlamaModel::Llama3_8B, LlmPhase::Training);
         let dp4 = wl.build_graph(&ParallelismConfig::new(4, 1, 1));
-        assert!(dp4.iter().any(|op| op.name == "grad_allreduce"));
+        assert!(dp4.iter().any(|op| &*op.name == "grad_allreduce"));
         let single = wl.build_graph(&ParallelismConfig::single());
-        assert!(!single.iter().any(|op| op.name == "grad_allreduce"));
+        assert!(!single.iter().any(|op| &*op.name == "grad_allreduce"));
     }
 
     #[test]

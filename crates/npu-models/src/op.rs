@@ -5,6 +5,8 @@
 //! traffic, and the matmul dimensions relevant to systolic-array spatial
 //! utilization (paper Figure 10) can be derived without approximation.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::dtype::DataType;
@@ -142,8 +144,11 @@ pub enum OpKind {
 pub struct Operator {
     /// Position in the operator graph (assigned by [`crate::OperatorGraph`]).
     pub id: usize,
-    /// Human-readable name, e.g. `"layer3.attn.qk_matmul"`.
-    pub name: String,
+    /// Human-readable name, e.g. `"layer3.attn.qk_matmul"`. Shared, not
+    /// owned: cloning an operator (graph concatenation, compilation,
+    /// the simulator's per-anchor records) copies a pointer, never the
+    /// string.
+    pub name: Arc<str>,
     /// Shape-carrying kind.
     pub kind: OpKind,
     /// Element data type.
@@ -153,7 +158,7 @@ pub struct Operator {
 impl Operator {
     /// Creates an operator with id 0 (the graph assigns the real id).
     #[must_use]
-    pub fn new(name: impl Into<String>, kind: OpKind, dtype: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, kind: OpKind, dtype: DataType) -> Self {
         Operator { id: 0, name: name.into(), kind, dtype }
     }
 

@@ -614,7 +614,7 @@ mod tests {
         assert_eq!(g.sources().len(), 4);
         // The merge fans in over every request's sink.
         let merge = g.operators().last().unwrap();
-        assert_eq!(merge.name, "batch_merge");
+        assert_eq!(&*merge.name, "batch_merge");
         assert_eq!(g.producers_of(merge.id).len(), 4);
         assert_eq!(g.topological_order().len(), g.len());
         // The requests are parallel branches: the hop-count critical path

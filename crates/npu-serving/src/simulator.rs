@@ -313,8 +313,6 @@ struct PreparedTrace {
     /// the graph never changes, so neither does its verdict.
     graph_verdict: Vec<Diagnostic>,
     prepared: PreparedSimulator,
-    /// Anchor position (schedule index) of each op id.
-    positions: Vec<usize>,
     /// Op-id range of each batch's subgraph in the combined graph.
     op_ranges: Vec<std::ops::Range<usize>>,
 }
@@ -454,11 +452,35 @@ impl ServingSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty or not sorted in non-decreasing order
-    /// (the [`BatchPolicy::form`] contract).
+    /// Panics with the rendered denial if the trace is empty or decreases
+    /// anywhere (see [`ServingSimulator::try_run`]).
     #[must_use]
     pub fn run(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
-        assert!(!arrivals.is_empty(), "an empty arrival trace serves nothing");
+        expect_servable(arrivals);
+        self.serve(arrivals, policy)
+    }
+
+    /// Like [`ServingSimulator::run`], but denies an arrival trace it
+    /// cannot serve instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AnalysisReport`] carrying a `serve.empty-trace` denial
+    /// for an empty trace, or a `serve.release-regression` denial for the
+    /// first request that arrives before its predecessor (its span is
+    /// that later request's index).
+    pub fn try_run(
+        &self,
+        arrivals: &[u64],
+        policy: &BatchPolicy,
+    ) -> Result<ServingOutcome, AnalysisReport> {
+        check_arrivals(arrivals)?;
+        Ok(self.serve(arrivals, policy))
+    }
+
+    /// The cached serving path of [`ServingSimulator::run`] on a checked
+    /// arrival trace.
+    fn serve(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
         let formed = policy.form(arrivals);
         let shape: Vec<usize> = formed.iter().map(crate::batch::FormedBatch::len).collect();
         let trace = self.prepared_trace(&shape, arrivals.len());
@@ -467,7 +489,7 @@ impl ServingSimulator {
         let simulation = trace
             .prepared
             .run_with_scratch(&op_releases, &mut self.scratch.lock().expect("engine scratch"));
-        self.finish(arrivals, Arc::clone(&trace.compiled), &trace.positions, simulation, batches)
+        self.finish(arrivals, Arc::clone(&trace.compiled), simulation, batches)
     }
 
     /// Like [`ServingSimulator::run`], but observes the replay with a
@@ -479,15 +501,15 @@ impl ServingSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty or not sorted in non-decreasing order
-    /// (the [`BatchPolicy::form`] contract).
+    /// Panics with the rendered denial if the trace is empty or decreases
+    /// anywhere (see [`ServingSimulator::try_run`]).
     #[must_use]
     pub fn run_traced(
         &self,
         arrivals: &[u64],
         policy: &BatchPolicy,
     ) -> (ServingOutcome, TraceRecorder) {
-        assert!(!arrivals.is_empty(), "an empty arrival trace serves nothing");
+        expect_servable(arrivals);
         let formed = policy.form(arrivals);
         let shape: Vec<usize> = formed.iter().map(crate::batch::FormedBatch::len).collect();
         let trace = self.prepared_trace(&shape, arrivals.len());
@@ -499,13 +521,7 @@ impl ServingSimulator {
             &mut self.scratch.lock().expect("engine scratch"),
             &mut recorder,
         );
-        let outcome = self.finish(
-            arrivals,
-            Arc::clone(&trace.compiled),
-            &trace.positions,
-            simulation,
-            batches,
-        );
+        let outcome = self.finish(arrivals, Arc::clone(&trace.compiled), simulation, batches);
         for (index, batch) in outcome.batches.iter().enumerate() {
             recorder.add_batch_flow(index, batch.dispatch_cycle, batch.completion_cycle);
         }
@@ -520,7 +536,7 @@ impl ServingSimulator {
         formed: &[crate::batch::FormedBatch],
         trace: &PreparedTrace,
     ) -> (Vec<u64>, Vec<BatchRecord>) {
-        let mut op_releases: Vec<u64> = Vec::with_capacity(trace.positions.len());
+        let mut op_releases: Vec<u64> = Vec::with_capacity(trace.compiled.len());
         let mut batches: Vec<BatchRecord> = Vec::with_capacity(formed.len());
         for (batch, range) in formed.iter().zip(&trace.op_ranges) {
             debug_assert_eq!(op_releases.len(), range.start, "batch subgraphs are contiguous");
@@ -541,11 +557,11 @@ impl ServingSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty or not sorted in non-decreasing order
-    /// (the [`BatchPolicy::form`] contract).
+    /// Panics with the rendered denial if the trace is empty or decreases
+    /// anywhere (see [`ServingSimulator::try_run`]).
     #[must_use]
     pub fn run_uncached(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
-        assert!(!arrivals.is_empty(), "an empty arrival trace serves nothing");
+        expect_servable(arrivals);
         let formed = policy.form(arrivals);
 
         // Lower every batch through the request-graph path and concatenate
@@ -580,8 +596,7 @@ impl ServingSimulator {
         let compiled = self.compiler.compile(&combined);
         let simulation =
             Simulator::new(self.chip.clone()).run_with_releases(&compiled, &op_releases);
-        let positions = compiled.anchor_positions();
-        self.finish(arrivals, Arc::new(compiled), &positions, simulation, batches)
+        self.finish(arrivals, Arc::new(compiled), simulation, batches)
     }
 
     /// The compiled subgraph of one batch of `num_requests` requests.
@@ -613,30 +628,33 @@ impl ServingSimulator {
     /// templates concatenated (compilation is edge-local, so this equals
     /// compiling the concatenated operator graph — pinned by the
     /// `concatenating_compiled_subgraphs_matches_compiling_the_concatenation`
-    /// test) and prepared for release-vector replay.
+    /// test) and prepared for release-vector replay. The combined graph
+    /// is sized once, from the templates' totals, before anything is
+    /// appended.
     fn prepared_trace(&self, shape: &[usize], num_requests: usize) -> Arc<PreparedTrace> {
         if let Some(trace) = self.cached_trace(shape) {
             self.cache_counters.trace_hits.fetch_add(1, Ordering::Relaxed);
             return trace;
         }
         self.cache_counters.trace_misses.fetch_add(1, Ordering::Relaxed);
+        let templates: Vec<Arc<CompiledGraph>> =
+            shape.iter().map(|&count| self.batch_template(count)).collect();
         let mut combined = CompiledGraph::empty(format!(
             "{}-serving-{num_requests}req-{}",
             self.workload.label(),
             self.parallelism
         ));
-        let mut op_ranges = Vec::with_capacity(shape.len());
-        for &count in shape {
-            let template = self.batch_template(count);
-            op_ranges.push(combined.extend_from(&template));
-        }
+        combined.reserve(
+            templates.iter().map(|t| t.len()).sum(),
+            templates.iter().map(|t| t.num_anchors()).sum(),
+            templates.iter().map(|t| t.num_edges()).sum(),
+        );
+        let op_ranges = templates.iter().map(|template| combined.extend_from(template)).collect();
         let prepared = Simulator::new(self.chip.clone()).prepare(&combined);
-        let positions = combined.anchor_positions();
         let trace = Arc::new(PreparedTrace {
             graph_verdict: analysis::check_compiled_graph(&combined),
             compiled: Arc::new(combined),
             prepared,
-            positions,
             op_ranges,
         });
         Arc::clone(
@@ -683,7 +701,7 @@ impl ServingSimulator {
             return report;
         }
         let trace = cached.unwrap_or_else(|| self.prepared_trace(&shape, outcome.requests.len()));
-        let mut op_releases: Vec<u64> = Vec::with_capacity(trace.positions.len());
+        let mut op_releases: Vec<u64> = Vec::with_capacity(trace.compiled.len());
         for (batch, range) in outcome.batches.iter().zip(&trace.op_ranges) {
             op_releases.resize(range.end, batch.dispatch_cycle);
         }
@@ -697,7 +715,6 @@ impl ServingSimulator {
         &self,
         arrivals: &[u64],
         compiled: Arc<CompiledGraph>,
-        positions: &[usize],
         simulation: SimulationResult,
         mut batches: Vec<BatchRecord>,
     ) -> ServingOutcome {
@@ -705,6 +722,7 @@ impl ServingSimulator {
         // the batch's operators (its merge fans in over every sink, so in
         // practice this is the merge's finish).
         let schedule = simulation.schedule();
+        let positions = compiled.anchor_positions();
         for record in &mut batches {
             record.completion_cycle = record
                 .ops
@@ -736,6 +754,38 @@ impl ServingSimulator {
             requests,
             cache: self.cache_counters.snapshot(),
         }
+    }
+}
+
+/// The arrival-trace contract every serving entry point shares: at least
+/// one request, in non-decreasing arrival order (FIFO admission).
+fn check_arrivals(arrivals: &[u64]) -> Result<(), AnalysisReport> {
+    let denial = if arrivals.is_empty() {
+        Diagnostic::deny(rules::SERVE_EMPTY_TRACE, None, "an empty arrival trace serves nothing")
+    } else if let Some(later) = (1..arrivals.len()).find(|&r| arrivals[r] < arrivals[r - 1]) {
+        Diagnostic::deny(
+            rules::SERVE_RELEASE_REGRESSION,
+            Some(OpSpan::single(later)),
+            format!(
+                "request {later} arrives at cycle {}, before request {}'s arrival at {} — the \
+                 arrival trace must be non-decreasing",
+                arrivals[later],
+                later - 1,
+                arrivals[later - 1]
+            ),
+        )
+    } else {
+        return Ok(());
+    };
+    let mut report = AnalysisReport::new();
+    report.extend([denial]);
+    Err(report)
+}
+
+/// [`check_arrivals`] for the panicking entry points.
+fn expect_servable(arrivals: &[u64]) {
+    if let Err(report) = check_arrivals(arrivals) {
+        panic!("unservable arrival trace:\n{}", report.render());
     }
 }
 
@@ -781,6 +831,29 @@ mod tests {
     #[should_panic(expected = "topo.parallelism-infeasible")]
     fn new_panics_on_an_infeasible_deployment() {
         let _ = ServingSimulator::new(NpuGeneration::D, 1, infeasible_on_one_chip());
+    }
+
+    #[test]
+    fn unservable_arrival_traces_are_denied_not_panicked() {
+        let simulator = dlrm_simulator();
+        let report = simulator.try_run(&[], &POLICY).expect_err("an empty trace serves nothing");
+        assert_eq!(report.deny_count(), 1, "{}", report.render());
+        assert_eq!(report.diagnostics[0].rule_id, rules::SERVE_EMPTY_TRACE);
+
+        let report = simulator.try_run(&[5, 3], &POLICY).expect_err("arrivals decrease");
+        assert_eq!(report.deny_count(), 1, "{}", report.render());
+        let denial = &report.diagnostics[0];
+        assert_eq!(denial.rule_id, rules::SERVE_RELEASE_REGRESSION);
+        assert_eq!(denial.span, Some(OpSpan::single(1)), "the later request is the span");
+
+        let served = simulator.try_run(&ARRIVALS, &POLICY).expect("a sorted trace is servable");
+        assert_eq!(served.makespan_cycles(), simulator.run(&ARRIVALS, &POLICY).makespan_cycles());
+    }
+
+    #[test]
+    #[should_panic(expected = "serve.release-regression")]
+    fn run_panics_naming_the_denied_rule() {
+        let _ = dlrm_simulator().run(&[5, 3], &POLICY);
     }
 
     /// Corrupted-record fixtures: each edit of a clean outcome and the

@@ -126,9 +126,12 @@ pub mod rules {
     /// A duty cycle outside `(0, 1]` (deny).
     pub const GATE_DUTY_CYCLE_OUT_OF_RANGE: &str = "gate.duty-cycle-out-of-range";
 
+    /// An arrival trace with no requests — nothing to serve (deny).
+    /// Emitted by `npu_serving::ServingSimulator::try_run`.
+    pub const SERVE_EMPTY_TRACE: &str = "serve.empty-trace";
     /// Release cycles regress across the batch's request spans — the
     /// admission queue is FIFO, so a later span dispatched earlier means
-    /// the trace is corrupt (deny).
+    /// the trace is corrupt — or an arrival trace decreases (deny).
     pub const SERVE_RELEASE_REGRESSION: &str = "serve.release-regression";
     /// The span sample counts do not sum to the batch size (deny).
     pub const SERVE_BATCH_NOT_CONSERVED: &str = "serve.batch-not-conserved";
@@ -630,16 +633,14 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
 fn check_anchor_connectivity(graph: &CompiledGraph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let ops = graph.ops();
-    let anchor_ids: Vec<usize> =
-        ops.iter().enumerate().filter(|(_, op)| op.is_anchor()).map(|(id, _)| id).collect();
+    let anchor_ids = graph.anchor_ids();
     let num_anchors = anchor_ids.len();
     if num_anchors <= 1 {
         return out;
     }
-    let mut position = vec![usize::MAX; ops.len()];
-    for (pos, &id) in anchor_ids.iter().enumerate() {
-        position[id] = pos;
-    }
+    // Every producer is an anchor here (structurally sound), so the
+    // recorded op → anchor-position map resolves each edge.
+    let position = graph.anchor_positions();
 
     // Degree count over the anchor-level edge relation.
     let mut degree = vec![0usize; num_anchors];

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use npu_arch::{ChipConfig, ComponentKind, PodTopology};
-use npu_compiler::{CompiledGraph, CompiledOp, SegmentLifetime, SramAllocation};
+use npu_compiler::{Adjacency, CompiledGraph, CompiledOp, SegmentLifetime, SramAllocation};
 use npu_models::{CollectiveKind, ExecutionUnit, OpKind};
 use npu_power::energy::ChipUsage;
 
@@ -141,40 +141,43 @@ impl Simulator {
         // dominated the whole simulation on big graphs).
         let live_profile = allocation.live_bytes_profile();
 
-        let anchor_producers = graph.anchor_producers();
-        let num_anchors = graph.num_anchors();
-        let mut phases = Vec::with_capacity(num_anchors);
-        let mut timings = Vec::with_capacity(num_anchors);
-        let mut anchor_ids = Vec::with_capacity(num_anchors);
+        let anchor_producers = Arc::new(graph.anchor_producers());
+        let mut phases = Vec::with_capacity(graph.num_anchors());
         let mut sa_weighted_spatial = 0.0f64;
         let (mut sa_flops, mut vu_flops) = (0.0, 0.0);
-        for (anchor_index, op) in graph.anchors().enumerate() {
-            match op.unit {
-                ExecutionUnit::Sa => {
-                    sa_flops += op.op.flops();
-                    vu_flops += op.fused_vu_flops;
+        // Collected straight into the shared slice: the anchor walk has an
+        // exact length, so the records are written once, in place.
+        let timings: Arc<[OpTiming]> = graph
+            .anchors()
+            .enumerate()
+            .map(|(anchor_index, op)| {
+                match op.unit {
+                    ExecutionUnit::Sa => {
+                        sa_flops += op.op.flops();
+                        vu_flops += op.fused_vu_flops;
+                    }
+                    _ => vu_flops += op.op.flops() + op.fused_vu_flops,
                 }
-                _ => vu_flops += op.op.flops() + op.fused_vu_flops,
-            }
-            let mut profile = self.profile_operator(op);
-            profile.timing.op_index = anchor_index;
-            profile.timing.sram_live_bytes = live_profile[anchor_index];
-            // Over-capacity live bytes are an allocator bug, not a value
-            // downstream consumers may quietly clamp; see
-            // `validation::SramCapacityReport` for the release-mode audit.
-            debug_assert!(
-                profile.timing.sram_live_bytes <= spec.sram_bytes(),
-                "anchor {anchor_index}: allocator reports {} live bytes in a {}-byte scratchpad",
-                profile.timing.sram_live_bytes,
-                spec.sram_bytes()
-            );
-            profile.phases.producers = anchor_producers[anchor_index].clone();
-            sa_weighted_spatial +=
-                profile.timing.sa_spatial_utilization * profile.timing.sa_active_cycles as f64;
-            anchor_ids.push(op.op.id);
-            phases.push(profile.phases);
-            timings.push(profile.timing);
-        }
+                let mut profile = self.profile_operator(op);
+                profile.timing.op_index = anchor_index;
+                profile.timing.sram_live_bytes = live_profile[anchor_index];
+                // Over-capacity live bytes are an allocator bug, not a value
+                // downstream consumers may quietly clamp; see
+                // `validation::SramCapacityReport` for the release-mode audit.
+                debug_assert!(
+                    profile.timing.sram_live_bytes <= spec.sram_bytes(),
+                    "anchor {anchor_index}: allocator reports {} live bytes in a {}-byte \
+                     scratchpad",
+                    profile.timing.sram_live_bytes,
+                    spec.sram_bytes()
+                );
+                profile.phases.producers = anchor_producers.of(anchor_index).to_vec();
+                sa_weighted_spatial +=
+                    profile.timing.sa_spatial_utilization * profile.timing.sa_active_cycles as f64;
+                phases.push(profile.phases);
+                profile.timing
+            })
+            .collect();
         let hbm_bytes: f64 = timings.iter().map(|t| t.hbm_bytes as f64).sum();
         let ici_bytes: f64 = timings.iter().map(|t| t.ici_bytes as f64).sum();
         let work = ChipUsage {
@@ -186,17 +189,14 @@ impl Simulator {
             sram_bytes: 3.0 * hbm_bytes,
             dma_bytes: hbm_bytes + ici_bytes,
         };
-        let fold_anchor =
-            graph.ops().iter().enumerate().map(|(id, op)| op.folded_into.unwrap_or(id)).collect();
         PreparedSimulator {
             chip: self.chip.clone(),
             engine: TimelineEngine::new(phases),
-            timings: timings.into(),
-            anchor_producers: anchor_producers.into(),
+            timings,
+            anchor_producers,
             sa_weighted_spatial,
             work,
-            fold_anchor,
-            anchor_ids,
+            positions: graph.anchor_positions().to_vec(),
             lifetimes: allocation.segment_lifetimes(),
             segment_bytes: allocation.geometry().segment_bytes(),
             num_segments: allocation.geometry().num_segments(),
@@ -335,15 +335,17 @@ impl Simulator {
 ///
 /// All release-independent work lives here: per-anchor phase durations,
 /// the SRAM allocation's live-bytes profile and segment lifetimes, the
-/// timeline engine's CSR topology, and the per-anchor records every
-/// result shares — the [`OpTiming`]s, the producer lists and the SA
-/// spatial weight — built once behind `Arc`s. Replaying against a new
-/// release vector ([`PreparedSimulator::run_with_scratch`]) pays only the
-/// event loop, the clock mapping and the busy-track finalization, and
-/// the result it returns holds new allocations only for what the release
-/// vector changes: the schedule, the resource tracks with their derived
-/// component timeline, and the segment intervals. That is what makes a
-/// serving sweep over repeated batch shapes cheap.
+/// timeline engine's CSR topology, the graph's op → anchor-position map,
+/// and the per-anchor records every result shares — the [`OpTiming`]s,
+/// the anchor-space producer [`Adjacency`] and the SA spatial weight —
+/// built once behind `Arc`s. Replaying against a new release vector
+/// ([`PreparedSimulator::run_with_scratch`]) pays only the release fold
+/// through that map, the event loop, the clock mapping and the
+/// busy-track finalization, and the result it returns holds new
+/// allocations only for what the release vector changes: the schedule,
+/// the resource tracks with their derived component timeline, and the
+/// segment intervals. That is what makes a serving sweep over repeated
+/// batch shapes cheap.
 #[derive(Debug)]
 pub struct PreparedSimulator {
     chip: ChipConfig,
@@ -351,19 +353,18 @@ pub struct PreparedSimulator {
     /// Per-anchor records, shared with every result (see
     /// [`SimulationResult::timings`]).
     timings: Arc<[OpTiming]>,
-    /// `anchor_producers[k]`: anchor indices anchor `k` waits on, shared
-    /// with every result.
-    anchor_producers: Arc<[Vec<usize>]>,
+    /// `anchor_producers.of(k)`: anchor indices anchor `k` waits on,
+    /// shared with every result.
+    anchor_producers: Arc<Adjacency>,
     /// Σ spatial utilization × SA-active cycles, summed in anchor order —
     /// the activity's SA spatial weight, which no release changes.
     sa_weighted_spatial: f64,
     /// The graph's work totals with zero busy time, shared with every
     /// result (see [`SimulationResult::chip_usage`]).
     work: ChipUsage,
-    /// Op id → op id of its fusion-group anchor (identity when unfused).
-    fold_anchor: Vec<usize>,
-    /// Anchor index → op id.
-    anchor_ids: Vec<usize>,
+    /// Op id → anchor position of its fusion group
+    /// ([`CompiledGraph::anchor_positions`]); releases fold through it.
+    positions: Vec<usize>,
     lifetimes: Vec<SegmentLifetime>,
     segment_bytes: u64,
     num_segments: usize,
@@ -380,7 +381,7 @@ impl PreparedSimulator {
     /// release vector must cover.
     #[must_use]
     pub fn num_ops(&self) -> usize {
-        self.fold_anchor.len()
+        self.positions.len()
     }
 
     /// The engine's resource set — what an observer recording a replay
@@ -402,17 +403,20 @@ impl PreparedSimulator {
     #[must_use]
     pub fn anchor_releases(&self, op_releases: &[u64]) -> Vec<u64> {
         assert!(
-            op_releases.is_empty() || op_releases.len() == self.fold_anchor.len(),
+            op_releases.is_empty() || op_releases.len() == self.positions.len(),
             "release vector covers {} operators but the graph has {}",
             op_releases.len(),
-            self.fold_anchor.len()
+            self.positions.len()
         );
-        let mut group_release = vec![0u64; self.fold_anchor.len()];
-        for (id, &anchor) in self.fold_anchor.iter().enumerate() {
-            let release = op_releases.get(id).copied().unwrap_or(0);
-            group_release[anchor] = group_release[anchor].max(release);
+        let mut releases = vec![0u64; self.timings.len()];
+        for (&position, &release) in self.positions.iter().zip(op_releases) {
+            // An operator folded into no anchor (a malformed graph) runs
+            // nowhere, so its release holds nothing back.
+            if let Some(slot) = releases.get_mut(position) {
+                *slot = (*slot).max(release);
+            }
         }
-        self.anchor_ids.iter().map(|&id| group_release[id]).collect()
+        releases
     }
 
     /// Runs the static schedule analyzer on the prepared graph: the
@@ -544,8 +548,9 @@ pub struct SimulationResult {
     chip: ChipConfig,
     /// Shared per-anchor records (never copied per replay).
     timings: Arc<[OpTiming]>,
-    /// `anchor_producers[k]`: anchor indices operator `k` waited on.
-    anchor_producers: Arc<[Vec<usize>]>,
+    /// `anchor_producers.of(k)`: anchor indices operator `k` waited on,
+    /// shared with the prepared simulator and every other replay.
+    anchor_producers: Arc<Adjacency>,
     /// `schedule[k]`: when anchor `k`'s phases ran on the global clock.
     schedule: Vec<ScheduledOp>,
     /// `releases[k]`: earliest cycle anchor `k` was allowed to issue (all
@@ -605,7 +610,7 @@ impl SimulationResult {
     /// dependency DAG the schedule honoured (empty for sources).
     #[must_use]
     pub fn producers_of(&self, index: usize) -> &[usize] {
-        self.anchor_producers.get(index).map(Vec::as_slice).unwrap_or(&[])
+        self.anchor_producers.of(index)
     }
 
     /// Release cycle the schedule honoured for anchor `index` (0 unless
@@ -756,7 +761,7 @@ impl SimulationResult {
 mod tests {
     use super::*;
     use npu_arch::{ComponentKind, NpuGeneration, NpuSpec, ParallelismConfig};
-    use npu_compiler::Compiler;
+    use npu_compiler::{CompiledGraph, Compiler};
     use npu_models::{DiffusionModel, DlrmSize, EvalConfig, LlamaModel, LlmPhase, Workload};
 
     fn simulate(workload: Workload, chips: usize) -> SimulationResult {
@@ -1090,7 +1095,7 @@ mod tests {
         let schedule = batched.schedule();
         let first_a2a = timings
             .iter()
-            .find(|t| t.name == "embedding_alltoall")
+            .find(|t| &*t.name == "embedding_alltoall")
             .expect("distributed DLRM has an all-to-all");
         let a2a_finish = schedule[first_a2a.op_index].finish;
         assert!(
@@ -1168,6 +1173,88 @@ mod tests {
         assert!(std::ptr::eq(early.producers_of(sink), late.producers_of(sink)));
         assert_ne!(early.schedule(), late.schedule());
         assert_eq!(late.schedule()[0].span_start(), 10_000);
+    }
+
+    #[test]
+    fn concatenation_and_preparation_share_the_operator_names() {
+        let chip = ChipConfig::new(NpuGeneration::D, 1);
+        let graph = Workload::dlrm(DlrmSize::Small).build_graph(&ParallelismConfig::single());
+        let template = Compiler::new(chip.spec().clone()).compile(&graph);
+        let mut combined = CompiledGraph::empty("combined");
+        for _ in 0..3 {
+            let range = combined.extend_from(&template);
+            for (appended, original) in combined.ops()[range].iter().zip(template.ops()) {
+                assert!(Arc::ptr_eq(&appended.op.name, &original.op.name), "{}", original.op.name);
+            }
+        }
+        let prepared = Simulator::new(chip).prepare(&combined);
+        let result = prepared.run_with_releases(&[]);
+        assert_eq!(result.timings().len(), combined.num_anchors());
+        for (timing, anchor) in result.timings().iter().zip(combined.anchors()) {
+            assert!(Arc::ptr_eq(&timing.name, &anchor.op.name), "{}", anchor.op.name);
+        }
+    }
+
+    #[test]
+    fn anchor_releases_fold_like_the_per_op_group_scan() {
+        // The oracle is the fold the prepared simulator used before it
+        // kept the graph's anchor positions: every op's release maxed
+        // into an ops-sized vector at its anchor's op id, then read back
+        // per anchor id.
+        fn group_scan(graph: &CompiledGraph, op_releases: &[u64]) -> Vec<u64> {
+            let fold_anchor: Vec<usize> = graph
+                .ops()
+                .iter()
+                .enumerate()
+                .map(|(id, op)| op.folded_into.unwrap_or(id))
+                .collect();
+            let mut group_release = vec![0u64; fold_anchor.len()];
+            for (id, &anchor) in fold_anchor.iter().enumerate() {
+                let release = op_releases.get(id).copied().unwrap_or(0);
+                group_release[anchor] = group_release[anchor].max(release);
+            }
+            (0..graph.len())
+                .filter(|&id| graph.ops()[id].is_anchor())
+                .map(|id| group_release[id])
+                .collect()
+        }
+
+        let chip = ChipConfig::new(NpuGeneration::D, 1);
+        let compiler = Compiler::new(chip.spec().clone());
+        let decode = Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2);
+        let template =
+            compiler.compile(&decode.build_request_graph(&ParallelismConfig::single(), 3));
+        let mut combined = CompiledGraph::empty("combined");
+        combined.extend_from(&template);
+        combined.extend_from(&compiler.compile(
+            &Workload::dlrm(DlrmSize::Small).build_request_graph(&ParallelismConfig::single(), 2),
+        ));
+        combined.extend_from(&template);
+        assert!(combined.num_anchors() < combined.len(), "the corpus graph must fuse");
+        let prepared = Simulator::new(chip).prepare(&combined);
+
+        let mut rng = crate::rng::SplitMix64::new(0x5EED_F01D);
+        assert_eq!(prepared.anchor_releases(&[]), group_scan(&combined, &[]));
+        for case in 0..64 {
+            // Dense random releases, and batch-like runs of equal releases.
+            let releases: Vec<u64> = if case % 2 == 0 {
+                (0..combined.len()).map(|_| rng.range(0, 1_000_000)).collect()
+            } else {
+                let mut releases = Vec::with_capacity(combined.len());
+                while releases.len() < combined.len() {
+                    let run = rng.range(1, 400) as usize;
+                    let value = rng.range(0, 5_000_000);
+                    releases.extend(std::iter::repeat_n(value, run));
+                }
+                releases.truncate(combined.len());
+                releases
+            };
+            assert_eq!(
+                prepared.anchor_releases(&releases),
+                group_scan(&combined, &releases),
+                "case {case}"
+            );
+        }
     }
 
     // ---- sram_demand_percentile_mib boundary semantics ----

@@ -1,5 +1,7 @@
 //! Per-operator activity records produced by the simulator.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use npu_models::ExecutionUnit;
@@ -21,8 +23,9 @@ pub struct OpTiming {
     /// [`crate::SimulationResult::timings`] and
     /// [`crate::SimulationResult::schedule`].
     pub op_index: usize,
-    /// Operator name.
-    pub name: String,
+    /// Operator name: the compiled operator's [`npu_models::Operator::name`]
+    /// pointer, shared rather than copied.
+    pub name: Arc<str>,
     /// Execution unit the operator ran on.
     pub unit: ExecutionUnit,
     /// What the operator would cost in isolation on the old serial engine

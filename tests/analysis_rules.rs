@@ -405,6 +405,18 @@ fn serve_span_out_of_range_is_denied() {
 }
 
 #[test]
+fn serve_empty_trace_is_denied() {
+    let server =
+        ServingSimulator::new(NpuGeneration::D, 1, Workload::dlrm(DlrmSize::Small).with_batch(8));
+    let policy = BatchPolicy::Static { batch: 2 };
+    let report = server.try_run(&[], &policy).expect_err("an empty trace is unservable");
+    assert_rule(&report.diagnostics, rules::SERVE_EMPTY_TRACE, Severity::Deny);
+
+    let clean = server.try_run(&[0], &policy).expect("a one-request trace is servable");
+    assert!(clean.analyze().is_schedulable());
+}
+
+#[test]
 fn serve_record_causality_rules_are_denied_on_corrupted_outcomes() {
     let server =
         ServingSimulator::new(NpuGeneration::D, 1, Workload::dlrm(DlrmSize::Small).with_batch(8));
