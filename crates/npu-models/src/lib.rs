@@ -47,4 +47,4 @@ pub use graph::OperatorGraph;
 pub use llm::{LlamaConfig, LlamaModel, LlmPhase};
 pub use op::{CollectiveKind, ExecutionUnit, OpKind, Operator};
 pub use table4::EvalConfig;
-pub use workload::{RequestGraph, RequestGraphError, RequestSpan, WorkUnit, Workload};
+pub use workload::{WorkUnit, Workload};

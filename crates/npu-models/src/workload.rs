@@ -45,83 +45,6 @@ impl std::fmt::Display for WorkUnit {
     }
 }
 
-/// Why a request graph could not be lowered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestGraphError {
-    /// The workload carries zero samples: there is nothing to lower, and
-    /// fabricating a one-sample graph would silently model work that does
-    /// not exist (the pre-serving lowering did exactly that).
-    EmptyBatch,
-    /// The request list is empty — a batch with no members cannot produce
-    /// a merge collective.
-    NoRequests,
-}
-
-impl std::fmt::Display for RequestGraphError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RequestGraphError::EmptyBatch => {
-                f.write_str("workload batch is empty (0 samples): nothing to lower into requests")
-            }
-            RequestGraphError::NoRequests => {
-                f.write_str("request list is empty: a batch needs at least one request")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RequestGraphError {}
-
-/// Span of one lowered request inside a [`RequestGraph`]: which operator
-/// ids belong to it, how many samples it carries, and when it becomes
-/// runnable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RequestSpan {
-    /// Operator-id range of the request's subgraph (half-open).
-    pub ops: std::ops::Range<usize>,
-    /// Samples the request carries.
-    pub samples: u64,
-    /// Earliest cycle any of the request's operators may issue — the
-    /// dispatch time of the serving batch the request rode in on (0 for
-    /// the classic everything-ready-at-cycle-0 lowering).
-    pub release_cycle: u64,
-}
-
-/// A batch lowered into independent per-request subgraphs plus a final
-/// merge, with per-request release metadata — the unit of work the
-/// serving simulator schedules on the event timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RequestGraph {
-    /// The merged operator graph (requests' subgraphs + merge operator).
-    pub graph: OperatorGraph,
-    /// Per lowered request: operator span, samples, release cycle. When
-    /// the requested split is finer than one sample per data-parallel
-    /// shard, several logical requests collapse into one span (see
-    /// [`Workload::try_build_request_graph`]) and the span's release is
-    /// the latest of its members'.
-    pub requests: Vec<RequestSpan>,
-    /// Operator id of the final batch-merge operator.
-    pub merge_id: usize,
-}
-
-impl RequestGraph {
-    /// Release cycle of every operator (indexed by operator id): each
-    /// request's operators inherit its span release; the merge inherits
-    /// the latest release (it fans in over every request, so it can never
-    /// run earlier anyway).
-    #[must_use]
-    pub fn op_releases(&self) -> Vec<u64> {
-        let mut releases = vec![0u64; self.graph.len()];
-        for span in &self.requests {
-            for id in span.ops.clone() {
-                releases[id] = span.release_cycle;
-            }
-        }
-        releases[self.merge_id] = self.requests.iter().map(|s| s.release_cycle).max().unwrap_or(0);
-        releases
-    }
-}
-
 /// One of the benchmark workloads of Table 1, with its batch configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Workload {
@@ -262,7 +185,8 @@ impl Workload {
 
     /// Lowers the workload's batch into `requests` *independent* per-chip
     /// subgraphs merged by a final batch-merge operator that fans in over
-    /// every request's sink — the shape of request-level batched serving.
+    /// every request's sink — the shape of request-level batched serving,
+    /// and the lowering of every batch the serving simulator schedules.
     /// Every request carries `batch / requests` samples and the first
     /// `batch % requests` requests carry one extra, so the whole batch is
     /// lowered. `requests` is additionally clamped so each request's
@@ -282,64 +206,20 @@ impl Workload {
     ///
     /// # Panics
     ///
-    /// Panics with [`RequestGraphError::EmptyBatch`] when the workload
-    /// carries zero samples (use [`Workload::try_build_request_graph`] to
-    /// handle an empty batch without panicking).
+    /// Panics when the workload carries zero samples: there is nothing to
+    /// lower, and fabricating a one-sample graph would silently model
+    /// work that does not exist.
     #[must_use]
     pub fn build_request_graph(
         &self,
         parallelism: &ParallelismConfig,
         requests: u64,
     ) -> OperatorGraph {
-        // Pre-clamp to the batch before materializing the release vector:
-        // the lowering can never produce more requests than samples, and a
-        // caller passing a huge `requests` must get the clamped graph (as
-        // the pre-release API did), not a `requests`-sized allocation.
-        let requests = requests.clamp(1, self.batch().max(1));
-        let releases = vec![0u64; usize::try_from(requests).unwrap_or(1)];
-        match self.try_build_request_graph(parallelism, &releases) {
-            Ok(request_graph) => request_graph.graph,
-            Err(err) => panic!("build_request_graph: {err}"),
-        }
-    }
-
-    /// Fallible, release-carrying variant of
-    /// [`Workload::build_request_graph`]: lowers the batch into
-    /// `releases.len()` logical requests where logical request `r` becomes
-    /// runnable at `releases[r]` cycles, and returns the per-request spans
-    /// alongside the graph. This is the entry point the serving simulator
-    /// uses to schedule a formed batch whose members arrived over time.
-    ///
-    /// The logical request count is clamped exactly like
-    /// [`Workload::build_request_graph`] clamps `requests` (no finer than
-    /// one sample per data-parallel shard); when clamping merges logical
-    /// requests, they are grouped contiguously in FIFO order and the
-    /// merged span's release is the *latest* of its members' (a span can
-    /// only run once all of its requests exist).
-    ///
-    /// # Errors
-    ///
-    /// [`RequestGraphError::EmptyBatch`] when the workload carries zero
-    /// samples, [`RequestGraphError::NoRequests`] when `releases` is
-    /// empty — both the degenerate inputs the infallible path used to
-    /// lower into a fabricated one-sample graph.
-    ///
-    /// # Panics
-    ///
-    /// Never for the inputs accepted above; a panic means the internal
-    /// batch-split invariant broke (the large-shard subgraph is always
-    /// materialized when a request receives the extra sample).
-    pub fn try_build_request_graph(
-        &self,
-        parallelism: &ParallelismConfig,
-        releases: &[u64],
-    ) -> Result<RequestGraph, RequestGraphError> {
-        if releases.is_empty() {
-            return Err(RequestGraphError::NoRequests);
-        }
-        if self.batch() == 0 {
-            return Err(RequestGraphError::EmptyBatch);
-        }
+        assert!(
+            self.batch() > 0,
+            "build_request_graph: workload batch is empty (0 samples): nothing to lower into \
+             requests"
+        );
         // The degree by which the workload's own graph builder divides the
         // batch: DLRM model-shards its tables across every chip and
         // data-shards the MLP batch over all of them, while the LLM and
@@ -350,9 +230,8 @@ impl Workload {
             Workload::Llm(_) | Workload::Diffusion(_) => parallelism.data as u64,
         }
         .max(1);
-        let logical = releases.len() as u64;
-        let requests = logical.clamp(1, (self.batch() / batch_shards).max(1));
-        let base = (self.batch() / requests).max(1);
+        let requests = requests.clamp(1, (self.batch() / batch_shards).max(1));
+        let base = self.batch() / requests;
         let extra = self.batch() % requests;
         let small = self.with_batch(base).build_graph(parallelism);
         let large =
@@ -365,7 +244,6 @@ impl Workload {
         let mut graph =
             OperatorGraph::new(format!("{}-x{requests}req-{parallelism}", self.label()));
         let mut sinks = Vec::new();
-        let mut spans = Vec::with_capacity(requests as usize);
         for r in 0..requests {
             let (sub, sub_sinks) = if r < extra {
                 (large.as_ref().expect("extra > 0"), &large_sinks)
@@ -375,17 +253,6 @@ impl Workload {
             let range = graph.extend_from(sub);
             debug_assert!(!range.is_empty(), "a request subgraph cannot be empty");
             sinks.extend(sub_sinks.iter().map(|s| range.start + s));
-            // Contiguous fair grouping of the logical requests onto the
-            // lowered spans (identical to the sample distribution when the
-            // counts match): span r owns logical indices [lo, hi).
-            let lo = (r * logical / requests) as usize;
-            let hi = ((r + 1) * logical / requests) as usize;
-            let release = releases[lo..hi].iter().copied().max().unwrap_or(0);
-            spans.push(RequestSpan {
-                ops: range,
-                samples: base + u64::from(r < extra),
-                release_cycle: release,
-            });
         }
         let dt = self.dtype();
         let merge = if parallelism.num_chips() > 1 {
@@ -408,8 +275,8 @@ impl Workload {
                 dt,
             )
         };
-        let merge_id = graph.push_with_producers(merge, sinks);
-        Ok(RequestGraph { graph, requests: spans, merge_id })
+        graph.push_with_producers(merge, sinks);
+        graph
     }
 
     /// Minimum per-chip HBM bytes needed to run the workload under a
@@ -640,9 +507,8 @@ mod tests {
         let wl = Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2);
         let g = wl.build_request_graph(&ParallelismConfig::single(), 64);
         assert_eq!(g.sources().len(), 2, "at most one request per sample");
-        // The clamp must happen *before* the release vector is allocated:
-        // an absurd request count returns the clamped graph (the
-        // pre-release behaviour), not an OOM-sized allocation.
+        // An absurd request count returns the clamped graph, not an
+        // OOM-sized allocation.
         let huge = wl.build_request_graph(&ParallelismConfig::single(), u64::MAX);
         assert_eq!(huge.sources().len(), 2);
         assert_eq!(huge.len(), g.len());
@@ -704,71 +570,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_a_clear_error_not_a_degenerate_graph() {
-        // A 0-sample workload used to be silently floored to one sample,
-        // fabricating work; the fallible path must reject it instead.
-        let wl = Workload::dlrm(DlrmSize::Small).with_batch(0);
-        let err = wl
-            .try_build_request_graph(&ParallelismConfig::single(), &[0, 0])
-            .expect_err("an empty batch cannot lower");
-        assert_eq!(err, RequestGraphError::EmptyBatch);
-        assert!(err.to_string().contains("empty"), "error message must name the cause: {err}");
-        // An empty request list is the other degenerate input.
-        let err = Workload::dlrm(DlrmSize::Small)
-            .try_build_request_graph(&ParallelismConfig::single(), &[])
-            .expect_err("no requests cannot lower");
-        assert_eq!(err, RequestGraphError::NoRequests);
-    }
-
-    #[test]
     #[should_panic(expected = "empty")]
     fn infallible_path_panics_with_the_clear_message_on_an_empty_batch() {
         let wl = Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(0);
         let _ = wl.build_request_graph(&ParallelismConfig::single(), 4);
-    }
-
-    #[test]
-    fn request_spans_carry_releases_and_partition_the_graph() {
-        let wl = Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(8);
-        let releases = [0u64, 100, 100, 2500];
-        let rg = wl
-            .try_build_request_graph(&ParallelismConfig::single(), &releases)
-            .expect("4 requests of 2 samples lower cleanly");
-        assert_eq!(rg.requests.len(), 4);
-        // Spans tile the graph exactly, leaving only the merge.
-        let mut cursor = 0usize;
-        for (span, &release) in rg.requests.iter().zip(releases.iter()) {
-            assert_eq!(span.ops.start, cursor);
-            cursor = span.ops.end;
-            assert_eq!(span.samples, 2);
-            assert_eq!(span.release_cycle, release);
-        }
-        assert_eq!(cursor, rg.merge_id);
-        assert_eq!(rg.merge_id + 1, rg.graph.len());
-        // Per-op releases: each span's ops inherit its release, the merge
-        // inherits the latest.
-        let op_releases = rg.op_releases();
-        assert_eq!(op_releases.len(), rg.graph.len());
-        for span in &rg.requests {
-            assert!(op_releases[span.ops.clone()].iter().all(|&r| r == span.release_cycle));
-        }
-        assert_eq!(op_releases[rg.merge_id], 2500);
-        // The graph itself is identical to the infallible lowering.
-        let classic = wl.build_request_graph(&ParallelismConfig::single(), 4);
-        assert_eq!(rg.graph, classic);
-    }
-
-    #[test]
-    fn clamped_spans_take_the_latest_member_release() {
-        // batch 2 on one chip clamps 4 logical requests onto 2 spans; each
-        // span must adopt the latest release of its contiguous group.
-        let wl = Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2);
-        let rg = wl
-            .try_build_request_graph(&ParallelismConfig::single(), &[10, 20, 30, 40])
-            .expect("clamped lowering succeeds");
-        assert_eq!(rg.requests.len(), 2);
-        assert_eq!(rg.requests[0].release_cycle, 20);
-        assert_eq!(rg.requests[1].release_cycle, 40);
     }
 
     #[test]

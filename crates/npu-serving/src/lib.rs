@@ -12,11 +12,12 @@
 //! * [`BatchPolicy`] — FIFO batch formation: static batch-N and a dynamic
 //!   window that closes on max-batch-or-deadline, the continuous-batching
 //!   server shape;
-//! * [`ServingSimulator`] — lowers each formed batch through the existing
-//!   `Workload::try_build_request_graph` compiler path and schedules the
-//!   whole trace on the timeline with **release times**, so queueing
-//!   delay and inter-request gaps become first-class idle intervals that
-//!   the unmodified interval-walking gating evaluator prices;
+//! * [`ServingSimulator`] — lowers each formed batch through
+//!   `Workload::build_request_graph`, releases every operator of a batch
+//!   at its dispatch cycle, and schedules the whole trace on the timeline
+//!   with those **release times**, so queueing delay and inter-request
+//!   gaps become first-class idle intervals that the unmodified
+//!   interval-walking gating evaluator prices;
 //! * [`ServingReport`] — p50/p99 latency, the queueing/service split,
 //!   energy per request and savings per design as a function of offered
 //!   load, and a *measured* duty cycle that reconciles the paper's

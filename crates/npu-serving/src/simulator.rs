@@ -1,8 +1,8 @@
 //! The serving simulator: arrival trace → batch formation → request-graph
 //! lowering → release-time scheduling on the event timeline.
 //!
-//! Each formed batch is lowered through the existing
-//! [`Workload::try_build_request_graph`] path (independent per-request
+//! Each formed batch is lowered through
+//! [`Workload::build_request_graph`] (independent per-request
 //! subgraphs merged by a batch collective) with every operator *released*
 //! at the batch's dispatch cycle, the batches are concatenated into one
 //! operator graph, and the whole trace is scheduled by the unmodified
@@ -16,9 +16,9 @@
 //! serving schedule reproduces the classic cycle-0 batch run bit for bit:
 //! zero releases are the engine's identity.
 
-// The caches below are lookup-only (never iterated), so hash order cannot
-// leak into any simulated number.
-use std::collections::HashMap; // lint:allow(hash-iter)
+// The batch-template cache is lookup-only (never iterated), so hash order
+// cannot leak into any simulated number.
+use std::collections::{HashMap, VecDeque}; // lint:allow(hash-iter)
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -29,7 +29,7 @@ use npu_sim::analysis::{self, rules, AnalysisReport, Diagnostic, OpSpan, Severit
 use npu_sim::{EngineScratch, PreparedSimulator, SimulationResult, Simulator, TraceRecorder};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::BatchPolicy;
+use crate::batch::{BatchPolicy, FormedBatch};
 
 /// One request's observed serving lifecycle, in cycles on the trace clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -317,6 +317,43 @@ struct PreparedTrace {
     op_ranges: Vec<std::ops::Range<usize>>,
 }
 
+/// Most prepared traces one simulator (with its clones) keeps: a long
+/// decode trace holds tens of MiB. No perfbench point evicts; `serve_churn`
+/// serves at most 12 shapes per simulator, `serve_steady` one.
+const TRACE_CACHE_CAPACITY: usize = 16;
+
+/// Batch-size sequence → prepared trace for the [`TRACE_CACHE_CAPACITY`]
+/// most recently used sequences, least recently used first. A scan of 16
+/// shapes costs nothing next to a replay, and its order is deterministic.
+#[derive(Debug, Default)]
+struct TraceCache(VecDeque<(Vec<usize>, Arc<PreparedTrace>)>);
+
+impl TraceCache {
+    /// The cached trace of `shape`, now the most recently used.
+    fn get(&mut self, shape: &[usize]) -> Option<Arc<PreparedTrace>> {
+        let position = self.0.iter().position(|(cached, _)| cached.as_slice() == shape)?;
+        let entry = self.0.remove(position)?;
+        let trace = Arc::clone(&entry.1);
+        self.0.push_back(entry);
+        Some(trace)
+    }
+
+    /// Caches `trace` as the most recently used shape, evicting the least
+    /// recently used one when full, and returns the cached trace. A shape
+    /// a racing clone cached meanwhile keeps that clone's trace: both
+    /// prepared the same graph.
+    fn insert(&mut self, shape: &[usize], trace: Arc<PreparedTrace>) -> Arc<PreparedTrace> {
+        if let Some(cached) = self.get(shape) {
+            return cached;
+        }
+        if self.0.len() == TRACE_CACHE_CAPACITY {
+            self.0.pop_front();
+        }
+        self.0.push_back((shape.to_vec(), Arc::clone(&trace)));
+        trace
+    }
+}
+
 /// Simulates a request-serving NPU deployment: one chip model, one
 /// parallelism, an arrival trace in, a scheduled timeline out.
 ///
@@ -324,10 +361,11 @@ struct PreparedTrace {
 /// flattening are all release-independent, so the simulator caches them at
 /// two levels keyed by batch shape: per *request count* (one compiled
 /// batch subgraph each) and per *batch-size sequence* (the concatenated
-/// graph prepared for replay). A sweep that forms the same batch sizes
-/// across many arrival seeds or load points pays the compile path once and
-/// then only re-runs the event loop. Clones share the caches (and the
-/// engine scratch buffers) through `Arc`.
+/// graph prepared for replay, at most 16 sequences, least recently used
+/// evicted first). A sweep that forms the same batch sizes across many
+/// arrival seeds or load points pays the compile path once and then only
+/// re-runs the event loop. Clones share the caches (and the engine scratch
+/// buffers) through `Arc`.
 #[derive(Debug, Clone)]
 pub struct ServingSimulator {
     chip: ChipConfig,
@@ -336,8 +374,8 @@ pub struct ServingSimulator {
     compiler: Compiler,
     /// Request count → compiled batch subgraph (keyed lookups only).
     batch_cache: Arc<Mutex<HashMap<usize, Arc<CompiledGraph>>>>, // lint:allow(hash-iter)
-    /// Batch-size sequence → prepared trace (keyed lookups only).
-    trace_cache: Arc<Mutex<HashMap<Vec<usize>, Arc<PreparedTrace>>>>, // lint:allow(hash-iter)
+    /// Batch-size sequence → prepared trace, bounded.
+    trace_cache: Arc<Mutex<TraceCache>>,
     /// Reused event-loop buffers for the cached path.
     scratch: Arc<Mutex<EngineScratch>>,
     /// Hit/miss counters of both caches, shared like the caches.
@@ -353,38 +391,39 @@ impl ServingSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if no valid parallelism configuration exists for the
-    /// deployment (use [`ServingSimulator::try_new`] to handle the denial
-    /// programmatically), or if the workload carries zero samples per
-    /// request.
+    /// Panics with the rendered denial, which names its rule, if the
+    /// workload carries zero samples per request or no valid parallelism
+    /// configuration exists for the deployment (use
+    /// [`ServingSimulator::try_new`] to handle the denial
+    /// programmatically).
     #[must_use]
     pub fn new(generation: NpuGeneration, num_chips: usize, workload: Workload) -> Self {
         Self::try_new(generation, num_chips, workload).unwrap_or_else(|report| {
-            panic!(
-                "infeasible deployment of {workload} on {num_chips} chip(s):\n{}",
-                report.render()
-            )
+            panic!("cannot serve {workload} on {num_chips} chip(s):\n{}", report.render())
         })
     }
 
-    /// Like [`ServingSimulator::new`], but reports an infeasible
-    /// deployment instead of panicking.
+    /// Like [`ServingSimulator::new`], but denies a deployment it cannot
+    /// serve instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns an [`AnalysisReport`] carrying a
+    /// Returns an [`AnalysisReport`] carrying a `serve.empty-request`
+    /// denial when the workload carries zero samples per request, or a
     /// `topo.parallelism-infeasible` denial when no valid parallelism
     /// configuration exists for the deployment
     /// ([`analysis::feasible_parallelism`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload carries zero samples per request.
     pub fn try_new(
         generation: NpuGeneration,
         num_chips: usize,
         workload: Workload,
     ) -> Result<Self, AnalysisReport> {
+        if workload.batch() == 0 {
+            let message = format!("{workload} carries 0 samples per request: nothing to lower");
+            let mut report = AnalysisReport::new();
+            report.extend([Diagnostic::deny(rules::SERVE_EMPTY_REQUEST, None, message)]);
+            return Err(report);
+        }
         let chip = ChipConfig::new(generation, num_chips);
         let parallelism = analysis::feasible_parallelism(&workload, chip.spec(), num_chips)?;
         Ok(Self::with_parallelism(generation, num_chips, workload, parallelism))
@@ -481,11 +520,7 @@ impl ServingSimulator {
     /// The cached serving path of [`ServingSimulator::run`] on a checked
     /// arrival trace.
     fn serve(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
-        let formed = policy.form(arrivals);
-        let shape: Vec<usize> = formed.iter().map(crate::batch::FormedBatch::len).collect();
-        let trace = self.prepared_trace(&shape, arrivals.len());
-        let (op_releases, batches) = Self::release_plan(&formed, &trace);
-
+        let (trace, batches, op_releases) = self.plan(arrivals, policy);
         let simulation = trace
             .prepared
             .run_with_scratch(&op_releases, &mut self.scratch.lock().expect("engine scratch"));
@@ -510,11 +545,7 @@ impl ServingSimulator {
         policy: &BatchPolicy,
     ) -> (ServingOutcome, TraceRecorder) {
         expect_servable(arrivals);
-        let formed = policy.form(arrivals);
-        let shape: Vec<usize> = formed.iter().map(crate::batch::FormedBatch::len).collect();
-        let trace = self.prepared_trace(&shape, arrivals.len());
-        let (op_releases, batches) = Self::release_plan(&formed, &trace);
-
+        let (trace, batches, op_releases) = self.plan(arrivals, policy);
         let mut recorder = TraceRecorder::for_set(&trace.prepared.resources());
         let simulation = trace.prepared.run_with_scratch_observed(
             &op_releases,
@@ -528,27 +559,33 @@ impl ServingSimulator {
         (outcome, recorder)
     }
 
-    /// The release vector and batch records of one formed trace against
-    /// its prepared shape. A batch's operators all carry its dispatch
-    /// cycle: every request span shares the batch dispatch, and the
-    /// merge's release is the maximum over the spans — the same value.
-    fn release_plan(
-        formed: &[crate::batch::FormedBatch],
-        trace: &PreparedTrace,
-    ) -> (Vec<u64>, Vec<BatchRecord>) {
-        let mut op_releases: Vec<u64> = Vec::with_capacity(trace.compiled.len());
-        let mut batches: Vec<BatchRecord> = Vec::with_capacity(formed.len());
-        for (batch, range) in formed.iter().zip(&trace.op_ranges) {
-            debug_assert_eq!(op_releases.len(), range.start, "batch subgraphs are contiguous");
-            op_releases.resize(range.end, batch.dispatch_cycle);
-            batches.push(BatchRecord {
-                requests: batch.requests.clone(),
-                ops: range.clone(),
+    /// The planning step of the cached path: forms `arrivals` into
+    /// batches, fetches (or prepares) the trace of their batch-size
+    /// sequence, and returns it with the batch records (completions still
+    /// unset) and the release vector to replay it under.
+    fn plan(
+        &self,
+        arrivals: &[u64],
+        policy: &BatchPolicy,
+    ) -> (Arc<PreparedTrace>, Vec<BatchRecord>, Vec<u64>) {
+        let formed = policy.form(arrivals);
+        let shape: Vec<usize> = formed.iter().map(FormedBatch::len).collect();
+        let trace = self.prepared_trace(&shape, arrivals.len());
+        let batches: Vec<BatchRecord> = formed
+            .into_iter()
+            .zip(&trace.op_ranges)
+            .map(|(batch, ops)| BatchRecord {
+                requests: batch.requests,
+                ops: ops.clone(),
                 dispatch_cycle: batch.dispatch_cycle,
                 completion_cycle: 0,
-            });
-        }
-        (op_releases, batches)
+            })
+            .collect();
+        let op_releases = batch_releases(
+            trace.compiled.len(),
+            batches.iter().map(|batch| (&batch.ops, batch.dispatch_cycle)),
+        );
+        (trace, batches, op_releases)
     }
 
     /// Serves an arrival trace by lowering and compiling every batch from
@@ -562,36 +599,29 @@ impl ServingSimulator {
     #[must_use]
     pub fn run_uncached(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
         expect_servable(arrivals);
-        let formed = policy.form(arrivals);
-
-        // Lower every batch through the request-graph path and concatenate
-        // the subgraphs; no cross-batch edges exist, so only release times
-        // and resource contention order the batches on the timeline.
+        // Lower every batch and concatenate the subgraphs; no cross-batch
+        // edges exist, so only release times and resource contention
+        // order the batches on the timeline.
         let mut combined = OperatorGraph::new(format!(
             "{}-serving-{}req-{}",
             self.workload.label(),
             arrivals.len(),
             self.parallelism
         ));
-        let mut op_releases: Vec<u64> = Vec::new();
-        let mut batches: Vec<BatchRecord> = Vec::with_capacity(formed.len());
-        for batch in &formed {
-            let samples = self.workload.batch() * batch.len() as u64;
-            let releases = vec![batch.dispatch_cycle; batch.len()];
-            let request_graph = self
-                .workload
-                .with_batch(samples)
-                .try_build_request_graph(&self.parallelism, &releases)
-                .expect("a formed batch has >= 1 request and >= 1 sample");
-            let range = combined.extend_from(&request_graph.graph);
-            op_releases.extend(request_graph.op_releases());
-            batches.push(BatchRecord {
-                requests: batch.requests.clone(),
-                ops: range,
+        let batches: Vec<BatchRecord> = policy
+            .form(arrivals)
+            .into_iter()
+            .map(|batch| BatchRecord {
+                ops: combined.extend_from(&self.lower(batch.len())),
+                requests: batch.requests,
                 dispatch_cycle: batch.dispatch_cycle,
                 completion_cycle: 0,
-            });
-        }
+            })
+            .collect();
+        let op_releases = batch_releases(
+            combined.len(),
+            batches.iter().map(|batch| (&batch.ops, batch.dispatch_cycle)),
+        );
 
         let compiled = self.compiler.compile(&combined);
         let simulation =
@@ -599,24 +629,24 @@ impl ServingSimulator {
         self.finish(arrivals, Arc::new(compiled), simulation, batches)
     }
 
-    /// The compiled subgraph of one batch of `num_requests` requests.
-    /// Release-independent: the request-graph builder's structure depends
-    /// only on the request count (releases populate span metadata), so one
-    /// compilation serves every batch of this size.
+    /// The operator graph of one batch of `num_requests` requests, the one
+    /// place a serving batch is lowered: the per-request workload scaled
+    /// to the batch's samples, through [`Workload::build_request_graph`].
+    fn lower(&self, num_requests: usize) -> OperatorGraph {
+        let samples = self.workload.batch() * num_requests as u64;
+        self.workload
+            .with_batch(samples)
+            .build_request_graph(&self.parallelism, num_requests as u64)
+    }
+
+    /// [`ServingSimulator::lower`] compiled, once per request count.
     fn batch_template(&self, num_requests: usize) -> Arc<CompiledGraph> {
         if let Some(template) = self.batch_cache.lock().expect("batch cache").get(&num_requests) {
             self.cache_counters.batch_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(template);
         }
         self.cache_counters.batch_misses.fetch_add(1, Ordering::Relaxed);
-        let samples = self.workload.batch() * num_requests as u64;
-        let releases = vec![0u64; num_requests];
-        let request_graph = self
-            .workload
-            .with_batch(samples)
-            .try_build_request_graph(&self.parallelism, &releases)
-            .expect("a formed batch has >= 1 request and >= 1 sample");
-        let compiled = Arc::new(self.compiler.compile(&request_graph.graph));
+        let compiled = Arc::new(self.compiler.compile(&self.lower(num_requests)));
         // A racing clone may have built the same template meanwhile; both
         // computed identical graphs, so first insert wins.
         Arc::clone(
@@ -657,15 +687,13 @@ impl ServingSimulator {
             prepared,
             op_ranges,
         });
-        Arc::clone(
-            self.trace_cache.lock().expect("trace cache").entry(shape.to_vec()).or_insert(trace),
-        )
+        self.trace_cache.lock().expect("trace cache").insert(shape, trace)
     }
 
-    /// The prepared trace of one batch-size sequence if it is cached;
-    /// counts nothing.
+    /// The prepared trace of one batch-size sequence if it is cached,
+    /// marked most recently used; counts nothing.
     fn cached_trace(&self, shape: &[usize]) -> Option<Arc<PreparedTrace>> {
-        self.trace_cache.lock().expect("trace cache").get(shape).cloned()
+        self.trace_cache.lock().expect("trace cache").get(shape)
     }
 
     /// The full static verdict on one serving outcome: the outcome's own
@@ -701,10 +729,10 @@ impl ServingSimulator {
             return report;
         }
         let trace = cached.unwrap_or_else(|| self.prepared_trace(&shape, outcome.requests.len()));
-        let mut op_releases: Vec<u64> = Vec::with_capacity(trace.compiled.len());
-        for (batch, range) in outcome.batches.iter().zip(&trace.op_ranges) {
-            op_releases.resize(range.end, batch.dispatch_cycle);
-        }
+        let op_releases = batch_releases(
+            trace.compiled.len(),
+            trace.op_ranges.iter().zip(outcome.batches.iter().map(|batch| batch.dispatch_cycle)),
+        );
         report.merge(trace.prepared.analyze(&op_releases, Some(outcome.makespan_cycles())));
         report
     }
@@ -755,6 +783,22 @@ impl ServingSimulator {
             cache: self.cache_counters.snapshot(),
         }
     }
+}
+
+/// The serving release rule: every operator of a batch is released at its
+/// batch's dispatch cycle. Takes each batch's operator range (contiguous,
+/// in order) with its dispatch cycle; returns one release per operator of
+/// the `num_ops`-operator combined graph.
+fn batch_releases<'a>(
+    num_ops: usize,
+    batches: impl Iterator<Item = (&'a std::ops::Range<usize>, u64)>,
+) -> Vec<u64> {
+    let mut op_releases = Vec::with_capacity(num_ops);
+    for (ops, dispatch_cycle) in batches {
+        debug_assert_eq!(op_releases.len(), ops.start, "batch subgraphs are contiguous");
+        op_releases.resize(ops.end, dispatch_cycle);
+    }
+    op_releases
 }
 
 /// The arrival-trace contract every serving entry point shares: at least
@@ -831,6 +875,16 @@ mod tests {
     #[should_panic(expected = "topo.parallelism-infeasible")]
     fn new_panics_on_an_infeasible_deployment() {
         let _ = ServingSimulator::new(NpuGeneration::D, 1, infeasible_on_one_chip());
+    }
+
+    #[test]
+    #[should_panic(expected = "serve.empty-request")]
+    fn new_panics_naming_the_empty_request_rule() {
+        let _ = ServingSimulator::new(
+            NpuGeneration::D,
+            1,
+            Workload::dlrm(DlrmSize::Small).with_batch(0),
+        );
     }
 
     #[test]
@@ -959,6 +1013,37 @@ mod tests {
                 assert!(report.denials().any(|d| d.rule_id == *rule), "{rule} not denied");
             }
         }
+    }
+
+    #[test]
+    fn trace_cache_evicts_the_least_recently_used_shape() {
+        let simulator = dlrm_simulator();
+        // One batch of `requests` requests: trace shape `[requests]`.
+        let serve = |requests: usize| {
+            let before = simulator.cache_counters().trace_hits;
+            let outcome =
+                simulator.run(&vec![0; requests], &BatchPolicy::Static { batch: requests });
+            (outcome.cache.trace_hits > before, outcome)
+        };
+        for requests in 1..=TRACE_CACHE_CAPACITY {
+            assert!(!serve(requests).0, "shape [{requests}] is new");
+        }
+        // Touching [1] leaves [2] least recently used, so a 17th shape
+        // evicts [2].
+        assert!(serve(1).0);
+        assert!(!serve(TRACE_CACHE_CAPACITY + 1).0);
+        assert_eq!(
+            simulator.trace_cache.lock().expect("trace cache").0.len(),
+            TRACE_CACHE_CAPACITY
+        );
+        assert!(serve(1).0);
+        assert!(serve(TRACE_CACHE_CAPACITY + 1).0);
+        let (hit, replayed) = serve(2);
+        assert!(!hit, "[2] was evicted");
+        let fresh = simulator.run_uncached(&[0, 0], &BatchPolicy::Static { batch: 2 });
+        assert_eq!(replayed.simulation.schedule(), fresh.simulation.schedule());
+        assert_eq!(replayed.batches, fresh.batches);
+        assert_eq!(replayed.requests, fresh.requests);
     }
 
     #[test]

@@ -25,8 +25,11 @@
 //!   amortization point, drowsy/off threshold misordering, leakage ratios
 //!   outside `[0, 1)`, `setpm` lead times no compiler-visible gap can
 //!   hide, duty cycles outside `(0, 1]`.
-//! * **Serving-trace sanity** — per-batch release-cycle monotonicity,
-//!   request spans that tile the merged graph, batch-size conservation.
+//! * **Serving-trace sanity** — the `serve.*` rules, emitted by the
+//!   serving layer's checks on its inputs and on the batch and request
+//!   records of a served trace: batch dispatch monotonicity, batch
+//!   operator ranges that tile the combined graph, and requests that
+//!   partition the trace in order.
 //!
 //! Every rule has a stable string id (`dag.cycle`, `time.makespan-above-
 //! ceiling`, …) listed in [`rules`], so tests assert on exact ids and the
@@ -39,7 +42,7 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 
 use npu_compiler::{CompiledGraph, SramAllocation};
-use npu_models::{RequestGraph, Workload};
+use npu_models::Workload;
 use npu_power::{GatingParams, GatingRule, PolicyRule, PowerPolicy};
 
 use npu_arch::{LinkGraph, NpuSpec, ParallelismConfig};
@@ -126,17 +129,26 @@ pub mod rules {
     /// A duty cycle outside `(0, 1]` (deny).
     pub const GATE_DUTY_CYCLE_OUT_OF_RANGE: &str = "gate.duty-cycle-out-of-range";
 
+    /// A per-request workload with zero samples — a request that carries
+    /// nothing cannot be lowered (deny). Emitted by
+    /// `npu_serving::ServingSimulator::try_new`.
+    pub const SERVE_EMPTY_REQUEST: &str = "serve.empty-request";
     /// An arrival trace with no requests — nothing to serve (deny).
     /// Emitted by `npu_serving::ServingSimulator::try_run`.
     pub const SERVE_EMPTY_TRACE: &str = "serve.empty-trace";
-    /// Release cycles regress across the batch's request spans — the
-    /// admission queue is FIFO, so a later span dispatched earlier means
-    /// the trace is corrupt — or an arrival trace decreases (deny).
+    /// A batch dispatches before an earlier batch — the admission queue
+    /// is FIFO, so the records are corrupt — or an arrival trace
+    /// decreases (deny). Emitted by `npu_serving::ServingSimulator::try_run`
+    /// and the serving layer's outcome checks.
     pub const SERVE_RELEASE_REGRESSION: &str = "serve.release-regression";
-    /// The span sample counts do not sum to the batch size (deny).
+    /// The batches do not partition the trace's requests in order, or a
+    /// request names a batch that does not carry it (deny). Emitted by
+    /// the serving layer's outcome checks.
     pub const SERVE_BATCH_NOT_CONSERVED: &str = "serve.batch-not-conserved";
-    /// A request span is empty, overlaps its neighbour, falls outside the
-    /// merged graph, or swallows the merge operator (deny).
+    /// A batch's operator range is empty, does not start where the
+    /// previous batch's ended, or reaches past the combined graph, or the
+    /// batches leave operators of the combined graph uncovered (deny).
+    /// Emitted by the serving layer's outcome checks.
     pub const SERVE_SPAN_OUT_OF_RANGE: &str = "serve.span-out-of-range";
     /// A request's batch was dispatched before the request arrived —
     /// causality violated in the trace (deny). Emitted by the serving
@@ -1271,76 +1283,6 @@ pub fn check_power_policy(policy: &dyn PowerPolicy) -> Vec<Diagnostic> {
             Diagnostic::deny(rule_id, None, format!("{}: {}", policy.label(), finding.message))
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Serving pass: release-trace sanity
-// ---------------------------------------------------------------------------
-
-/// Checks a merged serving batch for trace sanity: the request spans must
-/// tile the merged graph in admission order, their release cycles must be
-/// monotone (the admission queue is FIFO), and the sample counts must
-/// conserve the batch size. Spans are request-span indices.
-#[must_use]
-pub fn check_request_graph(request_graph: &RequestGraph, expected_batch: u64) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let graph_len = request_graph.graph.len();
-    let mut previous_end = 0usize;
-    let mut previous_release = 0u64;
-    let mut samples = 0u64;
-    for (index, span) in request_graph.requests.iter().enumerate() {
-        if span.ops.is_empty()
-            || span.ops.end > graph_len
-            || span.ops.start < previous_end
-            || span.ops.contains(&request_graph.merge_id)
-        {
-            out.push(Diagnostic::deny(
-                rules::SERVE_SPAN_OUT_OF_RANGE,
-                Some(OpSpan::single(index)),
-                format!(
-                    "request span {index} covers ops {}..{} in a {graph_len}-op merged graph \
-                     (previous span ended at {previous_end}, merge op is {})",
-                    span.ops.start, span.ops.end, request_graph.merge_id
-                ),
-            ));
-        }
-        if span.release_cycle < previous_release {
-            out.push(Diagnostic::deny(
-                rules::SERVE_RELEASE_REGRESSION,
-                Some(OpSpan::single(index)),
-                format!(
-                    "request span {index} releases at cycle {}, before span {}'s release at \
-                     {previous_release} — the FIFO admission order is violated",
-                    span.release_cycle,
-                    index.wrapping_sub(1)
-                ),
-            ));
-        }
-        previous_end = span.ops.end.max(previous_end);
-        previous_release = previous_release.max(span.release_cycle);
-        samples += span.samples;
-    }
-    if samples != expected_batch {
-        out.push(Diagnostic::deny(
-            rules::SERVE_BATCH_NOT_CONSERVED,
-            None,
-            format!(
-                "request spans carry {samples} samples but the batch dispatched \
-                 {expected_batch}"
-            ),
-        ));
-    }
-    if request_graph.merge_id >= graph_len {
-        out.push(Diagnostic::deny(
-            rules::SERVE_SPAN_OUT_OF_RANGE,
-            None,
-            format!(
-                "merge op {} is outside the {graph_len}-op merged graph",
-                request_graph.merge_id
-            ),
-        ));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //! unconstructible through `Compiler::compile` — is assembled through the
 //! deliberate back door `CompiledGraph::from_parts`; legal-but-suspicious
 //! shapes come from `npu_models::fixtures`; serving-record defects are
-//! injected by mutating real `RequestGraph`s and `ServingOutcome`s.
+//! injected by mutating a real `ServingOutcome`.
 
 use npu_arch::{ChipConfig, FabricKind, Link, LinkGraph, NpuGeneration, PodTopology, TorusKind};
 use npu_compiler::{CollectivePlan, CompiledGraph, CompiledOp, Compiler, SramAllocation};
@@ -16,7 +16,7 @@ use npu_models::{fixtures, CollectiveKind, DlrmSize, Workload};
 use npu_power::{
     ClockGating, DvfsScaling, GatingParams, LeakageRatios, TileGrainRegating, WriteBackGating,
 };
-use npu_serving::{BatchPolicy, ServingSimulator};
+use npu_serving::{BatchPolicy, ServingOutcome, ServingSimulator};
 use npu_sim::analysis::{self, rules};
 use npu_sim::pod::PodBuilder;
 use npu_sim::timeline::{OpPhases, Resource, ResourceId, ResourceSet, ResourceTimeline};
@@ -363,45 +363,62 @@ fn policy_transition_inconsistent_is_denied() {
 // Serving rules
 // ---------------------------------------------------------------------
 
-fn request_graph() -> (npu_models::RequestGraph, u64) {
-    let workload = Workload::dlrm(DlrmSize::Small).with_batch(24);
-    let server = ServingSimulator::new(NpuGeneration::D, 1, workload);
-    let rg = workload
-        .try_build_request_graph(server.parallelism(), &[0, 1_000, 2_000])
-        .expect("three requests over a 24-sample batch lower cleanly");
-    let total: u64 = rg.requests.iter().map(|s| s.samples).sum();
-    (rg, total)
+/// A clean three-batch serving outcome (one request per batch), the
+/// twin every serving-record fixture corrupts.
+fn served_outcome() -> ServingOutcome {
+    let server =
+        ServingSimulator::new(NpuGeneration::D, 1, Workload::dlrm(DlrmSize::Small).with_batch(8));
+    let outcome = server.run(&[0, 50_000, 400_000], &BatchPolicy::Static { batch: 1 });
+    let clean = outcome.analyze();
+    assert!(clean.is_schedulable(), "negative control dirtied: {}", clean.render());
+    assert_eq!(outcome.batches.len(), 3);
+    outcome
 }
 
 #[test]
 fn serve_release_regression_is_denied() {
-    let (mut rg, total) = request_graph();
-    assert!(analysis::check_request_graph(&rg, total).is_empty());
-    rg.requests[2].release_cycle = rg.requests[1].release_cycle - 1;
-    let diagnostics = analysis::check_request_graph(&rg, total);
-    assert_rule(&diagnostics, rules::SERVE_RELEASE_REGRESSION, Severity::Deny);
+    // A later batch dispatched before its predecessor.
+    let mut broken = served_outcome();
+    broken.batches[2].dispatch_cycle = broken.batches[1].dispatch_cycle - 1;
+    let report = broken.analyze();
+    assert_rule(&report.diagnostics, rules::SERVE_RELEASE_REGRESSION, Severity::Deny);
 }
 
 #[test]
 fn serve_batch_not_conserved_is_denied() {
-    let (mut rg, total) = request_graph();
-    rg.requests[0].samples += 1;
-    let diagnostics = analysis::check_request_graph(&rg, total);
-    assert_rule(&diagnostics, rules::SERVE_BATCH_NOT_CONSERVED, Severity::Deny);
+    // A request naming a batch that does not carry it.
+    let mut broken = served_outcome();
+    broken.requests[0].batch = 2;
+    let report = broken.analyze();
+    assert_rule(&report.diagnostics, rules::SERVE_BATCH_NOT_CONSERVED, Severity::Deny);
 }
 
 #[test]
 fn serve_span_out_of_range_is_denied() {
-    let (mut rg, total) = request_graph();
-    rg.requests[0].ops.end = rg.graph.len() + 5;
-    let diagnostics = analysis::check_request_graph(&rg, total);
-    assert_rule(&diagnostics, rules::SERVE_SPAN_OUT_OF_RANGE, Severity::Deny);
+    // A batch op range shortened by one: the next batch no longer starts
+    // where it ends.
+    let mut broken = served_outcome();
+    broken.batches[0].ops.end -= 1;
+    let report = broken.analyze();
+    assert_rule(&report.diagnostics, rules::SERVE_SPAN_OUT_OF_RANGE, Severity::Deny);
 
-    // A span swallowing the merge op is equally malformed.
-    let (mut rg, total) = request_graph();
-    rg.requests[2].ops.end = rg.merge_id + 1;
-    let diagnostics = analysis::check_request_graph(&rg, total);
-    assert_rule(&diagnostics, rules::SERVE_SPAN_OUT_OF_RANGE, Severity::Deny);
+    // A batch op range reaching past the combined graph.
+    let mut broken = served_outcome();
+    broken.batches[2].ops.end = broken.compiled.len() + 1;
+    let report = broken.analyze();
+    assert_rule(&report.diagnostics, rules::SERVE_SPAN_OUT_OF_RANGE, Severity::Deny);
+}
+
+#[test]
+fn serve_empty_request_is_denied() {
+    let empty = Workload::dlrm(DlrmSize::Small).with_batch(0);
+    let report = ServingSimulator::try_new(NpuGeneration::D, 1, empty)
+        .expect_err("a zero-sample request cannot be lowered");
+    assert_rule(&report.diagnostics, rules::SERVE_EMPTY_REQUEST, Severity::Deny);
+
+    let clean = ServingSimulator::try_new(NpuGeneration::D, 1, empty.with_batch(1))
+        .expect("a one-sample request is servable");
+    assert!(clean.run(&[0], &BatchPolicy::Static { batch: 1 }).analyze().is_schedulable());
 }
 
 #[test]
@@ -418,11 +435,7 @@ fn serve_empty_trace_is_denied() {
 
 #[test]
 fn serve_record_causality_rules_are_denied_on_corrupted_outcomes() {
-    let server =
-        ServingSimulator::new(NpuGeneration::D, 1, Workload::dlrm(DlrmSize::Small).with_batch(8));
-    let outcome = server.run(&[0, 50_000, 400_000], &BatchPolicy::Static { batch: 1 });
-    let clean = outcome.analyze();
-    assert!(clean.is_schedulable(), "{}", clean.render());
+    let outcome = served_outcome();
 
     // A request recorded as arriving *after* its batch dispatched.
     let mut broken = outcome.clone();

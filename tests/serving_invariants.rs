@@ -84,6 +84,18 @@ fn check_release_causality(outcome: &ServingOutcome, label: &str) {
     if outcome.batches.iter().any(|b| b.dispatch_cycle > 0) {
         assert!(released_late > 0, "{label}: no anchor carried a non-zero release");
     }
+    // The release rule itself: every operator of a batch runs on an
+    // anchor released at exactly that batch's dispatch cycle.
+    let positions = outcome.compiled.anchor_positions();
+    for (index, batch) in outcome.batches.iter().enumerate() {
+        for op in batch.ops.clone() {
+            assert_eq!(
+                sim.release_of(positions[op]),
+                batch.dispatch_cycle,
+                "{label}: op {op} of batch {index} is not released at its dispatch"
+            );
+        }
+    }
 }
 
 fn check_request_accounting(outcome: &ServingOutcome, label: &str) {
