@@ -15,7 +15,7 @@
 //!   the matrix operator that feeds it;
 //! * [`lowering`] — the compiled, tile-annotated operator stream consumed
 //!   by the performance simulator ([`CompiledGraph`]), with its producer
-//!   edges in one CSR store ([`adjacency`]);
+//!   edges in one CSR store ([`npu_models::Adjacency`]);
 //! * [`sram_alloc`] — double-buffered scratchpad allocation with buffer
 //!   lifetimes (the input to software SRAM power gating);
 //! * [`vliw`] — expansion of a compiled operator into a representative VLIW
@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adjacency;
 pub mod collective;
 pub mod fusion;
 pub mod idleness;
@@ -53,7 +52,6 @@ pub mod sram_alloc;
 pub mod tiling;
 pub mod vliw;
 
-pub use adjacency::Adjacency;
 pub use collective::CollectivePlan;
 pub use fusion::FusionPlan;
 pub use idleness::{IdleInterval, IdlenessReport};

@@ -4,9 +4,8 @@
 use serde::{Deserialize, Serialize};
 
 use npu_arch::NpuSpec;
-use npu_models::{ExecutionUnit, Operator, OperatorGraph};
+use npu_models::{Adjacency, ExecutionUnit, Operator, OperatorGraph};
 
-use crate::adjacency::Adjacency;
 use crate::fusion::FusionPlan;
 use crate::tiling::TileChoice;
 
@@ -383,23 +382,21 @@ impl Compiler {
 
         // Remap the graph's producer edges through the fusion groups: an
         // anchor depends on every anchor that feeds any member of its
-        // group (intra-group edges collapse).
-        let mut producer_sets: Vec<std::collections::BTreeSet<usize>> =
-            vec![std::collections::BTreeSet::new(); ops.len()];
+        // group (intra-group edges collapse). Sorting the pairs leaves
+        // every anchor's list ascending and, after `dedup`, duplicate-free.
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(graph.len());
         for (id, op) in ops.iter().enumerate() {
             let anchor = op.folded_into.unwrap_or(id);
             for &p in graph.producers_of(id) {
                 let producer_anchor = ops[p].folded_into.unwrap_or(p);
                 if producer_anchor != anchor {
-                    producer_sets[anchor].insert(producer_anchor);
+                    edges.push((anchor, producer_anchor));
                 }
             }
         }
-        let mut producers = Adjacency::new();
-        producers.reserve(ops.len(), producer_sets.iter().map(|set| set.len()).sum());
-        for set in producer_sets {
-            producers.push(set);
-        }
+        edges.sort_unstable();
+        edges.dedup();
+        let producers = Adjacency::from_edges(ops.len(), edges.iter().copied());
         let (anchor_ids, positions) = anchor_index(&ops);
 
         CompiledGraph { name: graph.name().to_string(), ops, producers, anchor_ids, positions }

@@ -5,13 +5,15 @@ use serde::{Deserialize, Serialize};
 /// Per-node neighbour lists in compressed sparse row (CSR) form: node
 /// `k`'s list is `edges[starts[k]..starts[k + 1]]`.
 ///
-/// One `starts` vector and one `edges` vector hold every list, so a graph
-/// of any size is two allocations, a clone copies two buffers, and
-/// appending another graph ([`Adjacency::extend_shifted`]) is a linear
-/// copy instead of one `Vec` per node. [`crate::CompiledGraph`] stores its
-/// producer edges this way, and its anchor-space view
-/// ([`crate::CompiledGraph::anchor_producers`]) is the one producer store
-/// a prepared simulator and every result it returns share.
+/// This is the one edge store of every DAG in the workspace: an
+/// [`crate::OperatorGraph`]'s producer lists, a compiled graph's, and the
+/// phase graph the timeline engine schedules each hold one, and every
+/// reverse (consumer) list is built by [`Adjacency::transpose`] or
+/// [`Adjacency::from_edges`]. One `starts` vector and one `edges` vector
+/// hold every list, so a graph of any size is two allocations, a clone
+/// copies two buffers, and appending another graph
+/// ([`Adjacency::extend_shifted`]) is a linear copy instead of one `Vec`
+/// per node.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Adjacency {
     /// `starts[k]..starts[k + 1]`: node `k`'s range of `edges`. Starts at
@@ -34,6 +36,7 @@ impl Adjacency {
     }
 
     /// Number of nodes.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.starts.len() - 1
@@ -52,6 +55,7 @@ impl Adjacency {
     }
 
     /// Node `k`'s neighbour list; empty when `k` is not a node.
+    #[inline]
     #[must_use]
     pub fn of(&self, k: usize) -> &[usize] {
         if k < self.len() {
@@ -59,6 +63,50 @@ impl Adjacency {
         } else {
             &[]
         }
+    }
+
+    /// Builds the lists of `num_nodes` nodes from `(node, neighbour)`
+    /// pairs by a stable counting sort: each node's list holds its
+    /// neighbours in the order their pairs arrive, and a node no pair
+    /// names gets an empty list. The pairs are walked twice (count, then
+    /// fill), hence the `Clone` bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair's node is not below `num_nodes`.
+    #[must_use]
+    pub fn from_edges<I>(num_nodes: usize, pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        let mut starts = vec![0usize; num_nodes + 1];
+        for (node, _) in pairs.clone() {
+            assert!(node < num_nodes, "edge from node {node} in a {num_nodes}-node adjacency");
+            starts[node + 1] += 1;
+        }
+        for k in 0..num_nodes {
+            starts[k + 1] += starts[k];
+        }
+        let mut cursor = starts.clone();
+        let mut edges = vec![0usize; starts[num_nodes]];
+        for (node, neighbour) in pairs {
+            edges[cursor[node]] = neighbour;
+            cursor[node] += 1;
+        }
+        Adjacency { starts, edges }
+    }
+
+    /// The reverse lists: node `k`'s list holds, ascending, every node
+    /// whose list names `k`. A neighbour that is not a node (`>= len()`)
+    /// has no list to land in and is dropped.
+    #[must_use]
+    pub fn transpose(&self) -> Adjacency {
+        let n = self.len();
+        let reversed =
+            (0..n).flat_map(|k| self.of(k).iter().filter(move |&&p| p < n).map(move |&p| (p, k)));
+        Adjacency::from_edges(n, reversed)
     }
 
     /// Appends a node whose neighbour list is `edges`.
@@ -132,6 +180,29 @@ mod tests {
         for (k, list) in lists.iter().enumerate() {
             assert_eq!(flattened.of(k), list.as_slice());
         }
+    }
+
+    #[test]
+    fn from_edges_keeps_arrival_order_and_empty_nodes() {
+        let adjacency = Adjacency::from_edges(5, [(3, 9), (1, 4), (3, 2), (1, 0), (3, 2)]);
+        assert_eq!(
+            adjacency,
+            Adjacency::from(vec![vec![], vec![4, 0], vec![], vec![9, 2, 2], vec![]])
+        );
+        assert_eq!(Adjacency::from_edges(2, []), Adjacency::from(vec![vec![], vec![]]));
+        assert_eq!(Adjacency::from_edges(0, []), Adjacency::new());
+    }
+
+    #[test]
+    fn transpose_lists_ascend_and_drop_out_of_range_neighbours() {
+        let producers = Adjacency::from(vec![vec![], vec![0], vec![1, 0], vec![7, 2, 0], vec![]]);
+        let consumers = producers.transpose();
+        assert_eq!(
+            consumers,
+            Adjacency::from(vec![vec![1, 2, 3], vec![2], vec![3], vec![], vec![]])
+        );
+        assert_eq!(consumers.num_edges(), producers.num_edges() - 1, "edge to 7 dropped");
+        assert_eq!(Adjacency::new().transpose(), Adjacency::new());
     }
 
     #[test]

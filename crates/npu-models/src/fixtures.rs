@@ -53,8 +53,7 @@ pub fn redundant_transitive_edge() -> OperatorGraph {
     let mut g = OperatorGraph::new("fixture-redundant-edge");
     let a = g.push_source(vu_op("a"));
     let b = g.push_with_producers(vu_op("b"), vec![a]);
-    let c = g.push_with_producers(vu_op("c"), vec![b]);
-    g.add_edge(a, c);
+    g.push_with_producers(vu_op("c"), vec![a, b]);
     g
 }
 

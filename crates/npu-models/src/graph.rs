@@ -8,13 +8,15 @@
 //! topological order — which is what the statically scheduled, in-order
 //! NPU pipeline issues from. [`OperatorGraph::push`] preserves the
 //! historical chain semantics (each operator depends on the previous one);
-//! [`OperatorGraph::push_source`], [`OperatorGraph::push_with_producers`],
-//! and [`OperatorGraph::add_edge`] express true DAG structure — fan-out
-//! (one producer feeding several independent consumers) and fan-in (a
-//! join such as DLRM's all-to-all over every per-table gather).
+//! [`OperatorGraph::push_source`] and [`OperatorGraph::push_with_producers`]
+//! express true DAG structure — fan-out (one producer feeding several
+//! independent consumers) and fan-in (a join such as DLRM's all-to-all
+//! over every per-table gather). The producer lists live in one
+//! [`Adjacency`].
 
 use serde::{Deserialize, Serialize};
 
+use crate::adjacency::Adjacency;
 use crate::op::{ExecutionUnit, Operator};
 
 /// A statically shaped operator DAG whose id order is a topological order.
@@ -22,16 +24,16 @@ use crate::op::{ExecutionUnit, Operator};
 pub struct OperatorGraph {
     name: String,
     operators: Vec<Operator>,
-    /// `producers[i]`: sorted, deduplicated ids the operator `i` consumes
-    /// from (empty = source).
-    producers: Vec<Vec<usize>>,
+    /// `producers.of(i)`: sorted, deduplicated ids the operator `i`
+    /// consumes from (empty = source), every one smaller than `i`.
+    producers: Adjacency,
 }
 
 impl OperatorGraph {
     /// Creates an empty graph.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        OperatorGraph { name: name.into(), operators: Vec::new(), producers: Vec::new() }
+        OperatorGraph { name: name.into(), operators: Vec::new(), producers: Adjacency::new() }
     }
 
     /// Name of the graph (workload + phase).
@@ -43,15 +45,14 @@ impl OperatorGraph {
     /// Appends an operator *in chain position*: it depends on the
     /// previously pushed operator (if any), assigning and returning its id.
     pub fn push(&mut self, op: Operator) -> usize {
-        let producers =
-            if self.operators.is_empty() { Vec::new() } else { vec![self.operators.len() - 1] };
-        self.push_with_producers(op, producers)
+        let previous = self.operators.len().checked_sub(1);
+        self.append(op, previous)
     }
 
     /// Appends an operator with no producers (a DAG source), e.g. an
     /// embedding gather that depends on nothing but its table.
     pub fn push_source(&mut self, op: Operator) -> usize {
-        self.push_with_producers(op, Vec::new())
+        self.append(op, None)
     }
 
     /// Appends an operator with an explicit producer set and returns its
@@ -62,58 +63,43 @@ impl OperatorGraph {
     /// Panics if a producer id does not refer to an already-pushed
     /// operator — edges must point backwards so the id order stays a
     /// topological order.
-    pub fn push_with_producers(&mut self, mut op: Operator, mut producers: Vec<usize>) -> usize {
+    pub fn push_with_producers(&mut self, op: Operator, mut producers: Vec<usize>) -> usize {
         let id = self.operators.len();
         producers.sort_unstable();
         producers.dedup();
         if let Some(&max) = producers.last() {
             assert!(max < id, "operator {id} ({}): producer {max} is not an earlier id", op.name);
         }
+        self.append(op, producers)
+    }
+
+    /// Appends `op` under the next id with `producers` (sorted,
+    /// deduplicated, earlier ids) as its producer list.
+    fn append(&mut self, mut op: Operator, producers: impl IntoIterator<Item = usize>) -> usize {
+        let id = self.operators.len();
         op.id = id;
         self.operators.push(op);
         self.producers.push(producers);
         id
     }
 
-    /// Adds a producer edge `from → to` between existing operators.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `from < to < len`: edges must point forwards in id
-    /// order (the validated topological order) and reference real ids.
-    pub fn add_edge(&mut self, from: usize, to: usize) {
-        assert!(to < self.operators.len(), "edge {from}->{to}: {to} is not an operator id");
-        assert!(from < to, "edge {from}->{to}: edges must follow the topological id order");
-        let list =
-            self.producers.get_mut(to).expect("graph invariant: one producer list per operator");
-        // `contains` + re-sort rather than binary-search insertion: a
-        // graph deserialized from external data may carry an unsorted
-        // list, and this normalizes it instead of corrupting it.
-        if !list.contains(&from) {
-            list.push(from);
-            list.sort_unstable();
-        }
-    }
-
     /// Producer ids of one operator (sorted, deduplicated; empty for a
     /// source).
     #[must_use]
     pub fn producers_of(&self, id: usize) -> &[usize] {
-        self.producers.get(id).map(Vec::as_slice).unwrap_or(&[])
+        self.producers.of(id)
     }
 
-    /// Consumer ids of one operator (ascending). Scans every producer
-    /// list with `contains` rather than assuming sortedness, so the query
-    /// stays correct even on graphs deserialized from external data.
+    /// Consumer ids of one operator (ascending).
     #[must_use]
     pub fn consumers_of(&self, id: usize) -> Vec<usize> {
-        (0..self.operators.len()).filter(|&c| self.producers[c].contains(&id)).collect()
+        (0..self.operators.len()).filter(|&c| self.producers.of(c).contains(&id)).collect()
     }
 
     /// Ids of the source operators (no producers), in id order.
     #[must_use]
     pub fn sources(&self) -> Vec<usize> {
-        (0..self.operators.len()).filter(|&id| self.producers[id].is_empty()).collect()
+        (0..self.operators.len()).filter(|&id| self.producers.of(id).is_empty()).collect()
     }
 
     /// Ids of the sink operators (no consumers), in id order. A graph of
@@ -121,15 +107,8 @@ impl OperatorGraph {
     /// batch-merge operator fans in over exactly this set.
     #[must_use]
     pub fn sinks(&self) -> Vec<usize> {
-        let mut has_consumer = vec![false; self.operators.len()];
-        for producers in &self.producers {
-            for &p in producers {
-                if let Some(slot) = has_consumer.get_mut(p) {
-                    *slot = true;
-                }
-            }
-        }
-        (0..self.operators.len()).filter(|&id| !has_consumer[id]).collect()
+        let consumers = self.producers.transpose();
+        (0..self.operators.len()).filter(|&id| consumers.of(id).is_empty()).collect()
     }
 
     /// A validated topological order of the graph.
@@ -137,31 +116,23 @@ impl OperatorGraph {
     /// By construction the id order is topological; this method re-derives
     /// the order with Kahn's algorithm (smallest ready id first, so the
     /// result is exactly `0..len`) and asserts that every edge was
-    /// honoured — the guard that protects deserialized or hand-assembled
-    /// graphs.
+    /// honoured.
     ///
     /// # Panics
     ///
-    /// Panics if the edge set contains a cycle or an out-of-range id.
+    /// Panics if the edge set contains a cycle.
     #[must_use]
     pub fn topological_order(&self) -> Vec<usize> {
         let n = self.operators.len();
-        let mut indegree = vec![0usize; n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, producers) in self.producers.iter().enumerate() {
-            for &p in producers {
-                assert!(p < n, "operator {id}: producer {p} out of range");
-                indegree[id] += 1;
-                consumers[p].push(id);
-            }
-        }
+        let mut indegree: Vec<usize> = (0..n).map(|id| self.producers.of(id).len()).collect();
+        let consumers = self.producers.transpose();
         let mut ready: std::collections::BTreeSet<usize> =
             (0..n).filter(|&id| indegree[id] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(&id) = ready.iter().next() {
             ready.remove(&id);
             order.push(id);
-            for &c in &consumers[id] {
+            for &c in consumers.of(id) {
                 indegree[c] -= 1;
                 if indegree[c] == 0 {
                     ready.insert(c);
@@ -183,7 +154,7 @@ impl OperatorGraph {
     pub fn critical_path_cost(&self, cost: impl Fn(&Operator) -> f64) -> f64 {
         let mut finish = vec![0.0f64; self.operators.len()];
         for id in self.topological_order() {
-            let ready = self.producers[id].iter().map(|&p| finish[p]).fold(0.0f64, f64::max);
+            let ready = self.producers.of(id).iter().map(|&p| finish[p]).fold(0.0f64, f64::max);
             finish[id] = ready + cost(&self.operators[id]);
         }
         finish.iter().copied().fold(0.0f64, f64::max)
@@ -264,9 +235,14 @@ impl OperatorGraph {
     /// fan-in operator over each subgraph's sink.
     pub fn extend_from(&mut self, other: &OperatorGraph) -> std::ops::Range<usize> {
         let base = self.operators.len();
-        for (op, producers) in other.operators.iter().zip(&other.producers) {
-            self.push_with_producers(op.clone(), producers.iter().map(|&p| p + base).collect());
-        }
+        self.operators.extend(
+            other
+                .operators
+                .iter()
+                .enumerate()
+                .map(|(i, op)| Operator { id: base + i, ..op.clone() }),
+        );
+        self.producers.extend_shifted(&other.producers, base);
         base..self.operators.len()
     }
 }
@@ -350,25 +326,22 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_deduplicates_and_sorts() {
+    fn push_with_producers_deduplicates_and_sorts() {
         let mut g = OperatorGraph::new("edges");
         let a = g.push_source(vu_op("a"));
         let b = g.push_source(vu_op("b"));
-        let c = g.push_source(vu_op("c"));
-        g.add_edge(b, c);
-        g.add_edge(a, c);
-        g.add_edge(b, c); // duplicate: ignored
+        let c = g.push_with_producers(vu_op("c"), vec![b, a, b]);
         assert_eq!(g.producers_of(c), &[a, b]);
         assert_eq!(g.sources(), vec![a, b]);
     }
 
     #[test]
-    #[should_panic(expected = "edges must follow the topological id order")]
+    #[should_panic(expected = "is not an earlier id")]
     fn backward_edges_are_rejected() {
         let mut g = OperatorGraph::new("bad");
         g.push_source(vu_op("a"));
-        g.push_source(vu_op("b"));
-        g.add_edge(1, 0);
+        // Operator 1 naming producer 2: an edge against the id order.
+        g.push_with_producers(vu_op("b"), vec![0, 2]);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod adjacency;
 pub mod diffusion;
 pub mod dlrm;
 pub mod dtype;
@@ -40,6 +41,7 @@ pub mod op;
 pub mod table4;
 pub mod workload;
 
+pub use adjacency::Adjacency;
 pub use diffusion::{DiffusionConfig, DiffusionModel};
 pub use dlrm::{DlrmConfig, DlrmSize};
 pub use dtype::DataType;

@@ -6,7 +6,7 @@
 //! (capacity audits, digest tables, conservation checks). This module adds
 //! the *a-priori* half — a pass pipeline over the compiled artifacts
 //! ([`npu_compiler::CompiledGraph`], the engine's
-//! [`OpPhases`] vector, the [`SramAllocation`], the
+//! [`PhaseGraph`], the [`SramAllocation`], the
 //! [`npu_power::GatingParams`], a serving release trace)
 //! that emits structured [`Diagnostic`]s without running anything:
 //!
@@ -42,14 +42,14 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 
 use npu_compiler::{CompiledGraph, SramAllocation};
-use npu_models::Workload;
+use npu_models::{Adjacency, Workload};
 use npu_power::{GatingParams, GatingRule, PolicyRule, PowerPolicy};
 
 use npu_arch::{LinkGraph, NpuSpec, ParallelismConfig};
 
 use crate::engine::{SimulationResult, DISPATCH_OVERHEAD_CYCLES};
 use crate::timeline::{
-    CycleInterval, OpPhases, Resource, ResourceId, ResourceSet, ResourceTimeline,
+    CycleInterval, OpPhases, PhaseGraph, Resource, ResourceId, ResourceSet, ResourceTimeline,
 };
 use crate::trace::{TraceRecorder, TraceSlice};
 
@@ -576,38 +576,21 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
     // whose producer is out of range (or the operator itself) never
     // drains, so operators behind dangling producers and operators on
     // cycles are exactly the leftovers — a set no pop order changes.
-    // Consumer lists are flattened into CSR ranges (count per producer,
-    // prefix sum, fill in consumer order), so the pass allocates a fixed
-    // handful of vectors however large the graph.
+    // The consumer lists are one `Adjacency`, so the pass allocates a
+    // fixed handful of vectors however large the graph.
     let drains = |id: usize, p: usize| p < n && p != id;
-    let mut indegree = vec![0usize; n];
-    let mut consumer_starts = vec![0usize; n + 1];
-    for (id, degree) in indegree.iter_mut().enumerate() {
-        for &p in graph.producers_of(id) {
-            *degree += 1;
-            if drains(id, p) {
-                consumer_starts[p + 1] += 1;
-            }
-        }
-    }
-    for i in 0..n {
-        consumer_starts[i + 1] += consumer_starts[i];
-    }
-    let mut cursor = consumer_starts.clone();
-    let mut consumers = vec![0usize; consumer_starts[n]];
-    for id in 0..n {
-        for &p in graph.producers_of(id) {
-            if drains(id, p) {
-                consumers[cursor[p]] = id;
-                cursor[p] += 1;
-            }
-        }
-    }
+    let mut indegree: Vec<usize> = (0..n).map(|id| graph.producers_of(id).len()).collect();
+    let consumers = Adjacency::from_edges(
+        n,
+        (0..n).flat_map(|id| {
+            graph.producers_of(id).iter().filter(move |&&p| drains(id, p)).map(move |&p| (p, id))
+        }),
+    );
     let mut ready: Vec<usize> = (0..n).filter(|&id| indegree[id] == 0).collect();
     let mut ordered = 0usize;
     while let Some(id) = ready.pop() {
         ordered += 1;
-        for &c in &consumers[consumer_starts[id]..consumer_starts[id + 1]] {
+        for &c in consumers.of(id) {
             indegree[c] -= 1;
             if indegree[c] == 0 {
                 ready.push(c);
@@ -741,11 +724,11 @@ fn check_anchor_connectivity(graph: &CompiledGraph) -> Vec<Diagnostic> {
 /// [`crate::timeline::TimelineEngine::new`] enforces by assertion, as
 /// diagnostics. Spans are phase-vector (anchor) positions.
 #[must_use]
-pub fn check_phase_graph(phases: &[OpPhases]) -> Vec<Diagnostic> {
+pub fn check_phase_graph(phases: &PhaseGraph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let n = phases.len();
-    for (k, p) in phases.iter().enumerate() {
-        for &q in &p.producers {
+    for k in 0..n {
+        for &q in phases.producers().of(k) {
             if q >= n {
                 out.push(Diagnostic::deny(
                     rules::DAG_PRODUCER_OUT_OF_RANGE,
@@ -764,27 +747,21 @@ pub fn check_phase_graph(phases: &[OpPhases]) -> Vec<Diagnostic> {
     out
 }
 
-/// Computes the static makespan window of a phase vector under a release
-/// vector (`releases` empty = every operator released at cycle 0).
+/// Computes the static makespan window of a phase graph scheduled
+/// against an explicit [`ResourceSet`] under a release vector
+/// (`releases` empty = every operator released at cycle 0). Serial work
+/// accumulates per resource *instance* (each chip's units and each ICI
+/// link separately), so the floor of a pod run reflects the busiest
+/// single resource, not the merged kind. Units or links outside the set
+/// are skipped here (the `topo.*` pass reports them); on the single-chip
+/// set the result is identical to the pre-refactor per-kind
+/// accumulation.
 ///
-/// Requires a structurally sound phase vector — run [`check_phase_graph`]
+/// Requires a structurally sound phase graph — run [`check_phase_graph`]
 /// first; producer indices `>= k` are ignored here rather than trusted.
 #[must_use]
-pub fn makespan_window(phases: &[OpPhases], releases: &[u64]) -> MakespanWindow {
-    makespan_window_for(phases, releases, &ResourceSet::single_chip())
-}
-
-/// Computes the static makespan window of a phase vector scheduled
-/// against an explicit [`ResourceSet`] — the multi-chip generalization of
-/// [`makespan_window`]. Serial work accumulates per resource *instance*
-/// (each chip's units and each ICI link separately), so the floor of a
-/// pod run reflects the busiest single resource, not the merged kind.
-/// Units or links outside the set are skipped here (the `topo.*` pass
-/// reports them); on the single-chip set the result is identical to the
-/// pre-refactor per-kind accumulation.
-#[must_use]
 pub fn makespan_window_for(
-    phases: &[OpPhases],
+    phases: &PhaseGraph,
     releases: &[u64],
     set: &ResourceSet,
 ) -> MakespanWindow {
@@ -802,10 +779,10 @@ pub fn makespan_window_for(
     let mut max_release = 0u64;
     let mut work = vec![0u64; set.num_resources()];
     let mut work_prefetch = vec![0u64; set.num_chips()];
-    for k in 0..n {
-        let p = &phases[k];
+    for (k, p) in phases.ops().iter().enumerate() {
         let rel = release(k);
-        let ready = p.producers.iter().filter(|&&q| q < k).map(|&q| finish[q]).fold(rel, u64::max);
+        let producers = phases.producers().of(k);
+        let ready = producers.iter().filter(|&&q| q < k).map(|&q| finish[q]).fold(rel, u64::max);
         let f = (ready + p.dispatch_cycles + p.main_cycles.max(p.fused_vu_cycles))
             .max(rel + p.dma_cycles);
         finish[k] = f;
@@ -845,16 +822,32 @@ pub fn makespan_window_for(
     MakespanWindow { lower_cycles: lower, upper_cycles: max_release + serial_sum }
 }
 
-/// The full phase-level pass: structural checks, the makespan window when
-/// they are clean, and — when a measured makespan is supplied — the
-/// containment verdict. Spans are phase-vector (anchor) positions.
+/// The full phase-level pass over a single-chip phase graph: structural
+/// checks, the makespan window when they are clean, and — when a measured
+/// makespan is supplied — the containment verdict. Spans are phase-vector
+/// (anchor) positions. This is [`analyze_pod`]'s time pass on the
+/// single-chip resource set, without the fabric checks.
 #[must_use]
 pub fn analyze_phases(
-    phases: &[OpPhases],
+    phases: &PhaseGraph,
     releases: &[u64],
     measured_makespan: Option<u64>,
 ) -> AnalysisReport {
-    let mut report = AnalysisReport::new();
+    let set = ResourceSet::single_chip();
+    time_pass(AnalysisReport::new(), phases, releases, &set, measured_makespan)
+}
+
+/// Appends the time pass to `report`: the phase-graph structure checks,
+/// the release-vector length check, and — when the report is still
+/// schedulable — the makespan window over `set` with the containment
+/// verdict for a measured makespan.
+fn time_pass(
+    mut report: AnalysisReport,
+    phases: &PhaseGraph,
+    releases: &[u64],
+    set: &ResourceSet,
+    measured_makespan: Option<u64>,
+) -> AnalysisReport {
     report.extend(check_phase_graph(phases));
     if !releases.is_empty() && releases.len() != phases.len() {
         report.diagnostics.push(Diagnostic::deny(
@@ -871,7 +864,7 @@ pub fn analyze_phases(
     if phases.is_empty() || !report.is_schedulable() {
         return report;
     }
-    let window = makespan_window(phases, releases);
+    let window = makespan_window_for(phases, releases, set);
     if let Some(measured) = measured_makespan {
         if measured < window.lower_cycles {
             report.diagnostics.push(Diagnostic::deny(
@@ -1048,12 +1041,13 @@ pub fn check_collective_phases(
 }
 
 /// The full pod-level pass: fabric structure, set/graph consistency,
-/// collective lowering agreement, phase-graph structure, and the
-/// multi-chip makespan window (with the containment verdict when a
-/// measured makespan is supplied).
+/// collective lowering agreement, then the time pass of
+/// [`analyze_phases`] against the pod's resource set — phase-graph
+/// structure and the multi-chip makespan window (with the containment
+/// verdict when a measured makespan is supplied).
 #[must_use]
 pub fn analyze_pod(
-    phases: &[OpPhases],
+    phases: &PhaseGraph,
     releases: &[u64],
     set: &ResourceSet,
     graph: &LinkGraph,
@@ -1062,51 +1056,8 @@ pub fn analyze_pod(
     let mut report = AnalysisReport::new();
     report.extend(check_link_graph(graph));
     report.extend(check_pod_consistency(set, graph));
-    report.extend(check_collective_phases(phases, set, graph));
-    report.extend(check_phase_graph(phases));
-    if !releases.is_empty() && releases.len() != phases.len() {
-        report.diagnostics.push(Diagnostic::deny(
-            rules::TIME_RELEASE_LENGTH_MISMATCH,
-            None,
-            format!(
-                "release vector covers {} operators but the phase vector has {}",
-                releases.len(),
-                phases.len()
-            ),
-        ));
-        return report;
-    }
-    if phases.is_empty() || !report.is_schedulable() {
-        return report;
-    }
-    let window = makespan_window_for(phases, releases, set);
-    if let Some(measured) = measured_makespan {
-        if measured < window.lower_cycles {
-            report.diagnostics.push(Diagnostic::deny(
-                rules::TIME_MAKESPAN_BELOW_FLOOR,
-                None,
-                format!(
-                    "measured makespan {measured} is below the static floor {} (critical path \
-                     / per-resource serial work) — the engine finished impossibly fast",
-                    window.lower_cycles
-                ),
-            ));
-        }
-        if measured > window.upper_cycles {
-            report.diagnostics.push(Diagnostic::deny(
-                rules::TIME_MAKESPAN_ABOVE_CEILING,
-                None,
-                format!(
-                    "measured makespan {measured} exceeds the static ceiling {} (latest \
-                     release + fully serial schedule) — the engine lost time no schedule \
-                     should lose",
-                    window.upper_cycles
-                ),
-            ));
-        }
-    }
-    report.makespan_window = Some(window);
-    report
+    report.extend(check_collective_phases(phases.ops(), set, graph));
+    time_pass(report, phases, releases, set, measured_makespan)
 }
 
 /// The workload's default parallelism on `num_chips` chips of `spec`
@@ -1587,7 +1538,7 @@ mod tests {
 
     #[test]
     fn release_length_mismatch_is_denied_without_a_window() {
-        let phases = OpPhases::chain(vec![
+        let phases = PhaseGraph::chain(vec![
             OpPhases {
                 unit: Resource::Vu.into(),
                 main_cycles: 10,
@@ -1596,7 +1547,6 @@ mod tests {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 1,
                 sa_active_cycles: 0,
-                producers: Vec::new(),
                 collective: None,
             };
             3

@@ -21,16 +21,16 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use npu_arch::{ChipConfig, ComponentKind, PodTopology};
-use npu_compiler::{Adjacency, CompiledGraph, CompiledOp, SegmentLifetime, SramAllocation};
-use npu_models::{CollectiveKind, ExecutionUnit, OpKind};
+use npu_compiler::{CompiledGraph, CompiledOp, SegmentLifetime, SramAllocation};
+use npu_models::{Adjacency, CollectiveKind, ExecutionUnit, OpKind};
 use npu_power::energy::ChipUsage;
 
 use crate::activity::ComponentActivity;
 use crate::observer::{NullObserver, SimObserver};
 use crate::segments::SegmentTimeline;
 use crate::timeline::{
-    BusyTimeline, EngineScratch, IdleHistogram, OpPhases, Resource, ResourceSet, ResourceTimeline,
-    RunCounters, ScheduledOp, TimelineEngine,
+    BusyTimeline, EngineScratch, IdleHistogram, OpPhases, PhaseGraph, Resource, ResourceSet,
+    ResourceTimeline, RunCounters, ScheduledOp, TimelineEngine,
 };
 use crate::timing::OpTiming;
 
@@ -129,9 +129,12 @@ impl Simulator {
     /// the graph against many release vectors. Per replay only the event
     /// loop, the span-to-clock segment mapping, and the busy-track
     /// finalization run — the per-anchor profiling, SRAM allocation
-    /// sweep, dependency flattening, and the shared per-anchor records
-    /// are all paid here. This is the compile-once/run-many path the
-    /// serving layer's graph cache builds on.
+    /// sweep, the engine's reverse edges, and the shared per-anchor
+    /// records are all paid here. The anchor-space producer lists
+    /// ([`CompiledGraph::anchor_producers`]) are built once and handed to
+    /// the engine as they are; no per-anchor list is copied. This is the
+    /// compile-once/run-many path the serving layer's graph cache builds
+    /// on.
     #[must_use]
     pub fn prepare(&self, graph: &CompiledGraph) -> PreparedSimulator {
         let spec = self.chip.spec();
@@ -141,7 +144,6 @@ impl Simulator {
         // dominated the whole simulation on big graphs).
         let live_profile = allocation.live_bytes_profile();
 
-        let anchor_producers = Arc::new(graph.anchor_producers());
         let mut phases = Vec::with_capacity(graph.num_anchors());
         let mut sa_weighted_spatial = 0.0f64;
         let (mut sa_flops, mut vu_flops) = (0.0, 0.0);
@@ -171,7 +173,6 @@ impl Simulator {
                     profile.timing.sram_live_bytes,
                     spec.sram_bytes()
                 );
-                profile.phases.producers = anchor_producers.of(anchor_index).to_vec();
                 sa_weighted_spatial +=
                     profile.timing.sa_spatial_utilization * profile.timing.sa_active_cycles as f64;
                 phases.push(profile.phases);
@@ -191,9 +192,8 @@ impl Simulator {
         };
         PreparedSimulator {
             chip: self.chip.clone(),
-            engine: TimelineEngine::new(phases),
+            engine: TimelineEngine::new(PhaseGraph::new(phases, graph.anchor_producers())),
             timings,
-            anchor_producers,
             sa_weighted_spatial,
             work,
             positions: graph.anchor_positions().to_vec(),
@@ -310,7 +310,6 @@ impl Simulator {
             fused_vu_cycles: fused_vu,
             dispatch_cycles: DISPATCH_OVERHEAD_CYCLES,
             sa_active_cycles: sa_active,
-            producers: Vec::new(),
             collective: None,
         };
         let timing = OpTiming {
@@ -335,10 +334,11 @@ impl Simulator {
 ///
 /// All release-independent work lives here: per-anchor phase durations,
 /// the SRAM allocation's live-bytes profile and segment lifetimes, the
-/// timeline engine's CSR topology, the graph's op → anchor-position map,
+/// timeline engine's topology, the graph's op → anchor-position map,
 /// and the per-anchor records every result shares — the [`OpTiming`]s,
-/// the anchor-space producer [`Adjacency`] and the SA spatial weight —
-/// built once behind `Arc`s. Replaying against a new release vector
+/// the anchor-space producer [`Adjacency`] (the engine's
+/// [`PhaseGraph::producers`]) and the SA spatial weight — built once,
+/// the first two behind `Arc`s. Replaying against a new release vector
 /// ([`PreparedSimulator::run_with_scratch`]) pays only the release fold
 /// through that map, the event loop, the clock mapping and the
 /// busy-track finalization, and the result it returns holds new
@@ -353,9 +353,6 @@ pub struct PreparedSimulator {
     /// Per-anchor records, shared with every result (see
     /// [`SimulationResult::timings`]).
     timings: Arc<[OpTiming]>,
-    /// `anchor_producers.of(k)`: anchor indices anchor `k` waits on,
-    /// shared with every result.
-    anchor_producers: Arc<Adjacency>,
     /// Σ spatial utilization × SA-active cycles, summed in anchor order —
     /// the activity's SA spatial weight, which no release changes.
     sa_weighted_spatial: f64,
@@ -522,7 +519,7 @@ impl PreparedSimulator {
         SimulationResult {
             chip: self.chip.clone(),
             timings: Arc::clone(&self.timings),
-            anchor_producers: Arc::clone(&self.anchor_producers),
+            anchor_producers: Arc::clone(self.engine.phases().producers()),
             schedule: schedule.ops,
             releases,
             sa_weighted_spatial: self.sa_weighted_spatial,
@@ -548,8 +545,8 @@ pub struct SimulationResult {
     chip: ChipConfig,
     /// Shared per-anchor records (never copied per replay).
     timings: Arc<[OpTiming]>,
-    /// `anchor_producers.of(k)`: anchor indices operator `k` waited on,
-    /// shared with the prepared simulator and every other replay.
+    /// `anchor_producers.of(k)`: anchor indices operator `k` waited on —
+    /// the engine's producer store, shared with every other replay.
     anchor_producers: Arc<Adjacency>,
     /// `schedule[k]`: when anchor `k`'s phases ran on the global clock.
     schedule: Vec<ScheduledOp>,
@@ -1173,6 +1170,24 @@ mod tests {
         assert!(std::ptr::eq(early.producers_of(sink), late.producers_of(sink)));
         assert_ne!(early.schedule(), late.schedule());
         assert_eq!(late.schedule()[0].span_start(), 10_000);
+    }
+
+    #[test]
+    fn the_engine_and_every_replay_share_one_producer_store() {
+        // `prepare` hands the engine the compiled graph's anchor-space
+        // adjacency as it is: the engine's phase graph and the results of
+        // two replays hold one `Arc`, and no per-anchor list is copied.
+        let wl = Workload::dlrm(DlrmSize::Small).with_batch(64);
+        let chip = ChipConfig::new(NpuGeneration::D, 1);
+        let graph = wl.build_graph(&ParallelismConfig::single());
+        let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
+        let prepared = Simulator::new(chip).prepare(&compiled);
+        let store = prepared.engine.phases().producers();
+        assert_eq!(**store, compiled.anchor_producers());
+        for releases in [vec![], vec![10_000; compiled.len()]] {
+            let result = prepared.run_with_releases(&releases);
+            assert!(Arc::ptr_eq(store, &result.anchor_producers), "replay copied the store");
+        }
     }
 
     #[test]

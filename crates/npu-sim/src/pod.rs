@@ -1,4 +1,4 @@
-//! Multi-chip (pod) phase-vector construction over a [`ResourceSet`].
+//! Multi-chip (pod) phase-graph construction over a [`ResourceSet`].
 //!
 //! The timeline engine schedules whatever resource instances its
 //! [`ResourceSet`] declares; this module is the layer that builds such
@@ -11,7 +11,9 @@ use npu_arch::LinkGraph;
 use npu_compiler::CollectivePlan;
 
 use crate::engine::DISPATCH_OVERHEAD_CYCLES;
-use crate::timeline::{CollectiveSchedule, OpPhases, Resource, ResourceSet, TimelineEngine};
+use crate::timeline::{
+    CollectiveSchedule, OpPhases, PhaseGraph, Resource, ResourceSet, TimelineEngine,
+};
 
 /// Maps a compiler [`CollectivePlan`] onto the link resources of a
 /// [`ResourceSet`] — the glue between the compiler's fabric-relative link
@@ -26,12 +28,12 @@ pub fn collective_schedule(plan: &CollectivePlan, set: &ResourceSet) -> Collecti
     }
 }
 
-/// Incrementally builds a pod phase vector against the resource set of an
-/// explicit fabric: one resource per chip unit, one per ICI link.
+/// Incrementally builds a pod [`PhaseGraph`] against the resource set of
+/// an explicit fabric: one resource per chip unit, one per ICI link.
 #[derive(Debug)]
 pub struct PodBuilder {
     set: ResourceSet,
-    phases: Vec<OpPhases>,
+    phases: PhaseGraph,
 }
 
 impl PodBuilder {
@@ -40,7 +42,7 @@ impl PodBuilder {
     pub fn new(graph: &LinkGraph) -> Self {
         PodBuilder {
             set: ResourceSet::pod(graph.num_chips(), graph.num_links()),
-            phases: Vec::new(),
+            phases: PhaseGraph::default(),
         }
     }
 
@@ -62,12 +64,6 @@ impl PodBuilder {
         self.phases.is_empty()
     }
 
-    /// Pushes a raw phase record and returns its index.
-    pub fn push(&mut self, phases: OpPhases) -> usize {
-        self.phases.push(phases);
-        self.phases.len() - 1
-    }
-
     /// Pushes a compute/transfer operator on one chip's unit of the given
     /// kind and returns its index. `producers` are indices of earlier
     /// operators.
@@ -84,7 +80,7 @@ impl PodBuilder {
         producers: Vec<usize>,
     ) -> usize {
         let sa_active = if kind == Resource::Sa { main_cycles } else { 0 };
-        self.push(OpPhases {
+        let op = OpPhases {
             unit: self.set.unit(chip, kind),
             main_cycles,
             dma_cycles,
@@ -92,9 +88,9 @@ impl PodBuilder {
             fused_vu_cycles: 0,
             dispatch_cycles: DISPATCH_OVERHEAD_CYCLES,
             sa_active_cycles: sa_active,
-            producers,
             collective: None,
-        })
+        };
+        self.phases.push(op, producers)
     }
 
     /// Pushes a lowered collective occupying the plan's links and returns
@@ -102,7 +98,7 @@ impl PodBuilder {
     pub fn push_collective(&mut self, plan: &CollectivePlan, producers: Vec<usize>) -> usize {
         let schedule = collective_schedule(plan, &self.set);
         let unit = schedule.links.first().copied().unwrap_or(self.set.unit(0, Resource::Ici));
-        self.push(OpPhases {
+        let op = OpPhases {
             unit,
             main_cycles: schedule.total_cycles(),
             dma_cycles: 0,
@@ -110,14 +106,14 @@ impl PodBuilder {
             fused_vu_cycles: 0,
             dispatch_cycles: DISPATCH_OVERHEAD_CYCLES,
             sa_active_cycles: 0,
-            producers,
             collective: Some(Box::new(schedule)),
-        })
+        };
+        self.phases.push(op, producers)
     }
 
-    /// The phase vector built so far.
+    /// The phase graph built so far.
     #[must_use]
-    pub fn phases(&self) -> &[OpPhases] {
+    pub fn phases(&self) -> &PhaseGraph {
         &self.phases
     }
 

@@ -23,10 +23,12 @@
 //! and wake-up latency hiding representable (paper §4–§6).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use npu_arch::ComponentKind;
+use npu_models::Adjacency;
 
 use crate::events::{EventKind, EventQueue};
 use crate::observer::{NullObserver, SimObserver};
@@ -625,12 +627,6 @@ impl IdleHistogram {
         self.buckets(kind).iter().map(|b| b.total_cycles).sum()
     }
 
-    /// Number of idle intervals of one component.
-    #[must_use]
-    pub fn interval_count(&self, kind: ComponentKind) -> u64 {
-        self.buckets(kind).iter().map(|b| b.count).sum()
-    }
-
     /// Idle cycles of one component sitting in intervals at least
     /// `min_len` cycles long (bucket-resolution approximation of the
     /// cycles a gating policy with break-even `min_len` could recover).
@@ -641,9 +637,10 @@ impl IdleHistogram {
 }
 
 /// Phase durations of one operator, as computed by the per-operator timing
-/// model — the input to the timeline engine. When an operator may issue is
-/// not part of its phases: release times enter through the release vector
-/// of [`TimelineEngine::run_with_scratch`].
+/// model — one node of the [`PhaseGraph`] the timeline engine schedules.
+/// When an operator may issue is not part of its phases: its producers
+/// are the graph's edges, and release times enter through the release
+/// vector of [`TimelineEngine::run_with_scratch`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpPhases {
     /// Execution resource instance of the main phase. Single-chip phase
@@ -675,22 +672,75 @@ pub struct OpPhases {
     /// analyzer denies. Boxed to keep the common no-collective `OpPhases`
     /// small — the phase vector is the engine's hottest working set.
     pub collective: Option<Box<CollectiveSchedule>>,
-    /// Indices of the operators whose completion this operator's main
-    /// phase must wait for (an empty set marks a source). Every index must
-    /// be smaller than the operator's own position: the phase vector is a
-    /// topological order of the DAG.
-    pub producers: Vec<usize>,
 }
 
-impl OpPhases {
+/// An operator DAG at phase level — the input of the timeline engine and
+/// of the phase-level analyzer passes: one [`OpPhases`] per operator, in
+/// topological order, and one producer list per operator in a shared
+/// [`Adjacency`]. Operator `k`'s main phase waits for every operator in
+/// `producers().of(k)` to finish (an empty list marks a source), and every
+/// such index must be smaller than `k`; the engine asserts that and the
+/// analyzer reports it.
+///
+/// The producer lists sit behind an `Arc` so that a prepared simulator
+/// hands the engine the anchor-space adjacency its compiled graph already
+/// built, and every result it returns shares that one store.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct PhaseGraph {
+    ops: Vec<OpPhases>,
+    producers: Arc<Adjacency>,
+}
+
+impl PhaseGraph {
+    /// A phase graph over `ops` whose producer lists are `producers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `producers` holds exactly one list per phase.
+    #[must_use]
+    pub fn new(ops: Vec<OpPhases>, producers: Adjacency) -> Self {
+        assert_eq!(ops.len(), producers.len(), "phase graph: one producer list per phase");
+        PhaseGraph { ops, producers: Arc::new(producers) }
+    }
+
     /// Wires a phase vector into a linear chain (`k` depends on `k-1`),
     /// the dependency structure of a single-request operator stream.
     #[must_use]
-    pub fn chain(mut phases: Vec<OpPhases>) -> Vec<OpPhases> {
-        for (k, p) in phases.iter_mut().enumerate() {
-            p.producers = if k == 0 { Vec::new() } else { vec![k - 1] };
-        }
-        phases
+    pub fn chain(ops: Vec<OpPhases>) -> Self {
+        let producers = Adjacency::from_edges(ops.len(), (1..ops.len()).map(|k| (k, k - 1)));
+        PhaseGraph::new(ops, producers)
+    }
+
+    /// Appends an operator whose main phase waits for `producers` (indices
+    /// of earlier operators) and returns its index.
+    pub fn push(&mut self, op: OpPhases, producers: impl IntoIterator<Item = usize>) -> usize {
+        self.ops.push(op);
+        Arc::make_mut(&mut self.producers).push(producers);
+        self.ops.len() - 1
+    }
+
+    /// The per-operator phase durations, in topological order.
+    #[must_use]
+    pub fn ops(&self) -> &[OpPhases] {
+        &self.ops
+    }
+
+    /// The producer lists, one per operator, in the shared store.
+    #[must_use]
+    pub fn producers(&self) -> &Arc<Adjacency> {
+        &self.producers
+    }
+
+    /// Number of operators.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether the graph has no operators.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
     }
 }
 
@@ -765,12 +815,6 @@ impl RunCounters {
     pub fn for_set(set: &ResourceSet) -> Self {
         RunCounters { link_busy_cycles: vec![0; set.num_links()], ..RunCounters::default() }
     }
-
-    /// Total link-busy cycles across every fabric link.
-    #[must_use]
-    pub fn total_link_busy_cycles(&self) -> u64 {
-        self.link_busy_cycles.iter().sum()
-    }
 }
 
 /// Result of scheduling a compiled operator stream on the timeline.
@@ -825,19 +869,20 @@ pub struct EngineScratch {
 
 /// The event-driven timeline engine.
 ///
-/// The phase vector is a topologically ordered operator DAG: every
-/// operator carries an explicit [`OpPhases::producers`] set (empty for
-/// sources), so independent subgraphs — DLRM's per-table gathers feeding
-/// one all-to-all, or a batch of requests sharing a chip — overlap freely
-/// instead of being serialized into a chain.
+/// It schedules a [`PhaseGraph`], a topologically ordered operator DAG:
+/// every operator has an explicit producer list (empty for sources), so
+/// independent subgraphs — DLRM's per-table gathers feeding one
+/// all-to-all, or the operators of a batch sharing a chip — overlap
+/// freely instead of being serialized into a chain.
 ///
-/// The engine itself is an immutable topology: the phase vector plus the
-/// reverse producer and buffer edges flattened into CSR index ranges. All
-/// per-run state (operator states, the event queue, the busy timeline)
-/// lives in an [`EngineScratch`], so one engine can be run many times —
-/// with different release vectors — without rebuilding or reallocating
-/// anything, and event completion iterates edge slices instead of cloning
-/// dependent lists.
+/// The engine itself is an immutable topology: the phase graph plus its
+/// reverse producer edges and the buffer edges, each one [`Adjacency`]
+/// of ascending lists, so operators that become ready at the same cycle
+/// issue in index order. All per-run state (operator states, the event
+/// queue, the busy timeline) lives in an [`EngineScratch`], so one engine
+/// can be run many times — with different release vectors — without
+/// rebuilding or reallocating anything, and event completion iterates
+/// edge slices instead of cloning dependent lists.
 ///
 /// Dependency rules, per operator `k` (topological order):
 ///
@@ -863,18 +908,17 @@ pub struct EngineScratch {
 ///   (including fused vector post-processing) are complete.
 #[derive(Debug)]
 pub struct TimelineEngine {
-    phases: Vec<OpPhases>,
-    /// The resource instances the phase vector schedules over.
+    phases: PhaseGraph,
+    /// The resource instances the phase graph schedules over.
     resources: ResourceSet,
-    /// CSR reverse producer edges: the operators whose main phase waits
-    /// for `k` to finish are `dep_edges[dep_starts[k]..dep_starts[k + 1]]`.
-    dep_starts: Vec<usize>,
-    dep_edges: Vec<usize>,
+    /// `consumers.of(k)`: the operators whose main phase waits for `k` to
+    /// finish (the transpose of the producer lists).
+    consumers: Adjacency,
     /// `buffer_dep[k]`: operator whose completion frees `k`'s input buffer.
     buffer_dep: Vec<Option<usize>>,
-    /// CSR reverse edges of `buffer_dep`, laid out like `dep_*`.
-    buf_starts: Vec<usize>,
-    buf_edges: Vec<usize>,
+    /// `buffer_waiters.of(k)`: the operators whose prefetch waits for `k`
+    /// to free its input buffer (the reverse of `buffer_dep`).
+    buffer_waiters: Adjacency,
 }
 
 /// Mutable state of one engine run, borrowed against the immutable
@@ -907,10 +951,10 @@ impl TimelineEngine {
     /// # Panics
     ///
     /// Panics if a producer index is not smaller than its consumer's
-    /// position — the phase vector must be a topological order, which the
+    /// position — the phase graph must be a topological order, which the
     /// graph layer guarantees by construction.
     #[must_use]
-    pub fn new(phases: Vec<OpPhases>) -> Self {
+    pub fn new(phases: PhaseGraph) -> Self {
         Self::with_resources(phases, ResourceSet::single_chip())
     }
 
@@ -920,11 +964,11 @@ impl TimelineEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the phase vector is not a topological order, or if any
+    /// Panics if the phase graph is not a topological order, or if any
     /// operator addresses a resource outside the set.
     #[must_use]
-    pub fn with_resources(phases: Vec<OpPhases>, resources: ResourceSet) -> Self {
-        for (k, p) in phases.iter().enumerate() {
+    pub fn with_resources(phases: PhaseGraph, resources: ResourceSet) -> Self {
+        for (k, p) in phases.ops.iter().enumerate() {
             assert!(
                 resources.contains(p.unit),
                 "operator {k}: unit {} outside the resource set ({} resources)",
@@ -940,66 +984,29 @@ impl TimelineEngine {
                     );
                 }
             }
-        }
-        let n = phases.len();
-        // Reverse producer edges, flattened: count per producer, prefix
-        // sum, then fill in consumer order — the same per-producer edge
-        // order `Vec<Vec<usize>>` adjacency produced.
-        let mut dep_starts = vec![0usize; n + 1];
-        for (k, p) in phases.iter().enumerate() {
-            for &producer in &p.producers {
+            for &producer in phases.producers.of(k) {
                 assert!(
                     producer < k,
                     "operator {k}: producer {producer} does not precede it (not a topological \
                      order)"
                 );
-                dep_starts[producer + 1] += 1;
             }
         }
-        for i in 0..n {
-            dep_starts[i + 1] += dep_starts[i];
-        }
-        let mut cursor = dep_starts.clone();
-        let mut dep_edges = vec![0usize; dep_starts[n]];
-        for (k, p) in phases.iter().enumerate() {
-            for &producer in &p.producers {
-                dep_edges[cursor[producer]] = k;
-                cursor[producer] += 1;
-            }
-        }
+        let n = phases.len();
+        let consumers = phases.producers.transpose();
         // The DMA of the j-th DMA-using operator waits for the
         // (j - DMA_BUFFER_DEPTH)-th DMA-using operator to release its
         // buffer.
         let mut buffer_dep = vec![None; n];
-        let mut buf_starts = vec![0usize; n + 1];
-        let dma_users: Vec<usize> = (0..n).filter(|&k| phases[k].dma_cycles > 0).collect();
-        for (j, &k) in dma_users.iter().enumerate() {
-            if j >= Self::DMA_BUFFER_DEPTH {
-                let owner = dma_users[j - Self::DMA_BUFFER_DEPTH];
-                buffer_dep[k] = Some(owner);
-                buf_starts[owner + 1] += 1;
-            }
+        let dma_users: Vec<usize> = (0..n).filter(|&k| phases.ops[k].dma_cycles > 0).collect();
+        for (j, &k) in dma_users.iter().enumerate().skip(Self::DMA_BUFFER_DEPTH) {
+            buffer_dep[k] = Some(dma_users[j - Self::DMA_BUFFER_DEPTH]);
         }
-        for i in 0..n {
-            buf_starts[i + 1] += buf_starts[i];
-        }
-        let mut cursor = buf_starts.clone();
-        let mut buf_edges = vec![0usize; buf_starts[n]];
-        for (k, dep) in buffer_dep.iter().enumerate() {
-            if let Some(owner) = dep {
-                buf_edges[cursor[*owner]] = k;
-                cursor[*owner] += 1;
-            }
-        }
-        TimelineEngine {
-            phases,
-            resources,
-            dep_starts,
-            dep_edges,
-            buffer_dep,
-            buf_starts,
-            buf_edges,
-        }
+        let buffer_waiters = Adjacency::from_edges(
+            n,
+            buffer_dep.iter().enumerate().filter_map(|(k, dep)| dep.map(|owner| (owner, k))),
+        );
+        TimelineEngine { phases, resources, consumers, buffer_dep, buffer_waiters }
     }
 
     /// The resource set the engine schedules over.
@@ -1008,11 +1015,12 @@ impl TimelineEngine {
         self.resources
     }
 
-    /// The per-operator phase durations the engine was built over, in
-    /// topological order — the static view the schedule analyzer consumes
-    /// to bound the makespan without running the event loop.
+    /// The phase graph the engine was built over — the static view the
+    /// schedule analyzer consumes to bound the makespan without running
+    /// the event loop ([`crate::analysis::analyze_phases`],
+    /// [`crate::analysis::analyze_pod`]).
     #[must_use]
-    pub fn phases(&self) -> &[OpPhases] {
+    pub fn phases(&self) -> &PhaseGraph {
         &self.phases
     }
 
@@ -1081,8 +1089,8 @@ impl TimelineEngine {
         // operator (all producers already satisfied).
         for k in 0..n {
             run.state[k].buffer_ready = self.buffer_dep[k].is_none();
-            run.state[k].pending_producers = self.phases[k].producers.len();
-            if self.phases[k].dma_cycles > 0 {
+            run.state[k].pending_producers = self.phases.producers.of(k).len();
+            if self.phases.ops[k].dma_cycles > 0 {
                 run.try_issue_dma(k, 0, obs);
             }
         }
@@ -1160,7 +1168,7 @@ impl EngineRun<'_> {
     /// The chip an operator's phases run on (chip 0 for pure-link
     /// collective ops, whose DMA/prefetch phases are zero anyway).
     fn chip_of(&self, op: usize) -> usize {
-        self.topo.resources.chip_of(self.topo.phases[op].unit).unwrap_or(0)
+        self.topo.resources.chip_of(self.topo.phases.ops[op].unit).unwrap_or(0)
     }
 
     /// Counts (and reports) a phase that was ready at `now` but clamped
@@ -1193,7 +1201,7 @@ impl EngineRun<'_> {
     }
 
     fn issue_dma<O: SimObserver>(&mut self, op: usize, now: u64, obs: &mut O) {
-        let p = &self.topo.phases[op];
+        let p = &self.topo.phases.ops[op];
         let (dma_cycles, lead_cycles) = (p.dma_cycles, p.dma_lead_cycles.min(p.dma_cycles));
         // Prefetches queue on their chip's DMA prefetch channel only:
         // demand traffic (gathers) is never stuck behind speculation.
@@ -1211,7 +1219,7 @@ impl EngineRun<'_> {
 
     fn try_issue_main<O: SimObserver>(&mut self, op: usize, now: u64, obs: &mut O) {
         let s = &self.state[op];
-        let needs_lead = self.topo.phases[op].dma_cycles > 0;
+        let needs_lead = self.topo.phases.ops[op].dma_cycles > 0;
         if s.main_issued || s.pending_producers > 0 || (needs_lead && !s.lead_ready) {
             return;
         }
@@ -1223,7 +1231,7 @@ impl EngineRun<'_> {
     }
 
     fn issue_main<O: SimObserver>(&mut self, op: usize, now: u64, obs: &mut O) {
-        let q = &self.topo.phases[op];
+        let q = &self.topo.phases.ops[op];
         if q.collective.is_some() {
             self.issue_collective(op, now, obs);
             return;
@@ -1278,7 +1286,7 @@ impl EngineRun<'_> {
     /// serialize on it.
     fn issue_collective<O: SimObserver>(&mut self, op: usize, now: u64, obs: &mut O) {
         let topo = self.topo;
-        let q = &topo.phases[op];
+        let q = &topo.phases.ops[op];
         let Some(c) = &q.collective else { return };
         obs.op_issued(op, now);
         let mut start = now;
@@ -1304,7 +1312,8 @@ impl EngineRun<'_> {
     }
 
     fn check_finish<O: SimObserver>(&mut self, op: usize, now: u64, obs: &mut O) {
-        let has_dma = self.topo.phases[op].dma_cycles > 0;
+        let topo = self.topo;
+        let has_dma = topo.phases.ops[op].dma_cycles > 0;
         let s = &self.state[op];
         if s.finished || !s.main_done || (has_dma && !s.dma_done) {
             return;
@@ -1314,19 +1323,16 @@ impl EngineRun<'_> {
         self.counters.ops_retired += 1;
         obs.op_retired(op, now);
         // Producer edges: consumers with no remaining producers may start.
-        // Indexing the CSR slices (one copied edge at a time) keeps the
-        // topology borrow disjoint from the state mutations — no cloned
-        // dependent lists, no per-event allocation.
-        for i in self.topo.dep_starts[op]..self.topo.dep_starts[op + 1] {
-            let k = self.topo.dep_edges[i];
+        // The topology is borrowed for the engine's lifetime, not through
+        // `self`, so walking its slices needs no copied dependent lists.
+        for &k in topo.consumers.of(op) {
             self.state[k].pending_producers -= 1;
             if self.state[k].pending_producers == 0 {
                 self.try_issue_main(k, now, obs);
             }
         }
         // Buffer edges: release this operator's input buffer.
-        for i in self.topo.buf_starts[op]..self.topo.buf_starts[op + 1] {
-            let k = self.topo.buf_edges[i];
+        for &k in topo.buffer_waiters.of(op) {
             self.state[k].buffer_ready = true;
             self.try_issue_dma(k, now, obs);
         }
@@ -1337,6 +1343,12 @@ impl EngineRun<'_> {
 mod tests {
     use super::*;
 
+    /// A phase graph of independent sources (no producer edges).
+    fn sources(ops: Vec<OpPhases>) -> PhaseGraph {
+        let n = ops.len();
+        PhaseGraph::new(ops, Adjacency::from_edges(n, []))
+    }
+
     fn sa_op(main: u64, dma: u64) -> OpPhases {
         OpPhases {
             unit: Resource::Sa.into(),
@@ -1346,14 +1358,13 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: main,
-            producers: Vec::new(),
             collective: None,
         }
     }
 
     #[test]
     fn empty_stream_schedules_nothing() {
-        let schedule = TimelineEngine::new(Vec::new()).run();
+        let schedule = TimelineEngine::new(PhaseGraph::default()).run();
         assert_eq!(schedule.makespan, 0);
         assert!(schedule.ops.is_empty());
         assert!(schedule.timeline.intervals(ComponentKind::Sa).is_empty());
@@ -1362,7 +1373,7 @@ mod tests {
     #[test]
     fn dma_prefetch_overlaps_previous_compute() {
         // Two identical ops: op 1's DMA must stream while op 0 computes.
-        let ops = OpPhases::chain(vec![sa_op(1000, 400), sa_op(1000, 400)]);
+        let ops = PhaseGraph::chain(vec![sa_op(1000, 400), sa_op(1000, 400)]);
         let schedule = TimelineEngine::new(ops).run();
         let [a, b] = [schedule.ops[0], schedule.ops[1]];
         assert!(b.dma_start < a.main_end, "op 1's prefetch starts during op 0's compute");
@@ -1374,7 +1385,7 @@ mod tests {
     #[test]
     fn consumer_never_starts_before_producer_finishes() {
         let ops =
-            OpPhases::chain(vec![sa_op(100, 800), sa_op(50, 20), sa_op(700, 100), sa_op(5, 5)]);
+            PhaseGraph::chain(vec![sa_op(100, 800), sa_op(50, 20), sa_op(700, 100), sa_op(5, 5)]);
         let schedule = TimelineEngine::new(ops).run();
         for pair in schedule.ops.windows(2) {
             assert!(pair[1].main_start >= pair[0].finish, "{pair:?}");
@@ -1385,7 +1396,7 @@ mod tests {
     fn double_buffering_throttles_prefetch_depth() {
         // Op 2's DMA may not start before op 0 releases its buffer, even
         // though the HBM queue is free much earlier.
-        let ops = OpPhases::chain(vec![sa_op(10_000, 10), sa_op(10_000, 10), sa_op(10_000, 10)]);
+        let ops = PhaseGraph::chain(vec![sa_op(10_000, 10), sa_op(10_000, 10), sa_op(10_000, 10)]);
         let schedule = TimelineEngine::new(ops).run();
         assert!(schedule.ops[1].dma_start < schedule.ops[0].finish, "depth-2 prefetch runs ahead");
         assert!(
@@ -1396,7 +1407,7 @@ mod tests {
 
     #[test]
     fn busy_intervals_are_disjoint_and_sorted() {
-        let ops = OpPhases::chain(vec![
+        let ops = PhaseGraph::chain(vec![
             sa_op(300, 500),
             sa_op(40, 700),
             sa_op(900, 100),
@@ -1416,7 +1427,7 @@ mod tests {
 
     #[test]
     fn idle_intervals_complement_busy_intervals() {
-        let ops = OpPhases::chain(vec![sa_op(300, 500), sa_op(40, 700), sa_op(900, 100)]);
+        let ops = PhaseGraph::chain(vec![sa_op(300, 500), sa_op(40, 700), sa_op(900, 100)]);
         let schedule = TimelineEngine::new(ops).run();
         let total = schedule.makespan;
         for kind in ComponentKind::ALL {
@@ -1429,8 +1440,12 @@ mod tests {
 
     #[test]
     fn histogram_buckets_account_for_every_idle_cycle() {
-        let ops =
-            OpPhases::chain(vec![sa_op(300, 500), sa_op(40, 700), sa_op(900, 100), sa_op(10, 90)]);
+        let ops = PhaseGraph::chain(vec![
+            sa_op(300, 500),
+            sa_op(40, 700),
+            sa_op(900, 100),
+            sa_op(10, 90),
+        ]);
         let schedule = TimelineEngine::new(ops).run();
         let histogram = IdleHistogram::from_timeline(&schedule.timeline, schedule.makespan);
         for kind in ComponentKind::ALL {
@@ -1483,7 +1498,6 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            producers: Vec::new(),
             collective: None,
         }
     }
@@ -1496,7 +1510,7 @@ mod tests {
         // producer chain by the entire prefetch. Demand traffic now runs
         // on its own channel.
         let schedule =
-            TimelineEngine::new(OpPhases::chain(vec![gather_op(1000), sa_op(800, 500)])).run();
+            TimelineEngine::new(PhaseGraph::chain(vec![gather_op(1000), sa_op(800, 500)])).run();
         let [g, s] = [schedule.ops[0], schedule.ops[1]];
         assert_eq!(g.main_start, 0, "the gather issues immediately");
         assert!(s.main_start >= g.finish, "the consumer still waits for its producer");
@@ -1508,7 +1522,7 @@ mod tests {
     fn gathers_are_not_stuck_behind_a_long_speculative_prefetch() {
         // A huge prefetch admitted early (op 1, buffer-free) must not push
         // back the demand gathers of ops 2-3 on the producer chain.
-        let ops = OpPhases::chain(vec![
+        let ops = PhaseGraph::chain(vec![
             sa_op(50, 40),
             sa_op(50, 100_000),
             gather_op(200),
@@ -1533,7 +1547,7 @@ mod tests {
         // the last operator, past the makespan).
         let mut op = sa_op(100, 50);
         op.fused_vu_cycles = 700;
-        let schedule = TimelineEngine::new(vec![op]).run();
+        let schedule = TimelineEngine::new(sources(vec![op])).run();
         let s = schedule.ops[0];
         assert!(s.finish >= s.main_start + 10 + 700, "finish covers the fused tail");
         assert_eq!(schedule.makespan, s.finish);
@@ -1551,23 +1565,21 @@ mod tests {
     fn independent_sources_overlap_across_units() {
         // A gather and an SA op with no edge between them must run
         // concurrently; chained, they would serialize.
-        let dag = TimelineEngine::new(vec![gather_op(1000), sa_op(1000, 0)]).run();
+        let dag = TimelineEngine::new(sources(vec![gather_op(1000), sa_op(1000, 0)])).run();
         assert_eq!(dag.ops[0].main_start, 0);
         assert_eq!(dag.ops[1].main_start, 0);
         assert!(dag.makespan <= 1010, "independent ops serialized: {}", dag.makespan);
         let chained =
-            TimelineEngine::new(OpPhases::chain(vec![gather_op(1000), sa_op(1000, 0)])).run();
+            TimelineEngine::new(PhaseGraph::chain(vec![gather_op(1000), sa_op(1000, 0)])).run();
         assert!(chained.makespan >= 2 * 1010 - 10);
     }
 
     #[test]
     fn fan_in_waits_for_every_producer() {
         // Diamond: 0 -> {1, 2} -> 3. Op 3 must wait for the slower branch.
-        let mut ops = vec![sa_op(100, 0), gather_op(5000), sa_op(200, 0), sa_op(50, 0)];
-        ops[1].producers = vec![0];
-        ops[2].producers = vec![0];
-        ops[3].producers = vec![1, 2];
-        let schedule = TimelineEngine::new(ops).run();
+        let ops = vec![sa_op(100, 0), gather_op(5000), sa_op(200, 0), sa_op(50, 0)];
+        let producers = Adjacency::from(vec![vec![], vec![0], vec![0], vec![1, 2]]);
+        let schedule = TimelineEngine::new(PhaseGraph::new(ops, producers)).run();
         let [a, g, b, join] = [schedule.ops[0], schedule.ops[1], schedule.ops[2], schedule.ops[3]];
         assert!(g.main_start >= a.finish && b.main_start >= a.finish);
         assert_eq!(g.main_start, b.main_start, "both branches start when the source finishes");
@@ -1580,10 +1592,9 @@ mod tests {
         // 0 -> {1, 2}, both SA: the branches contend for the SA gang and
         // serialize on it, but neither waits for the other's *completion*
         // dependency-wise (op 2 issues the moment the SA frees up).
-        let mut ops = vec![sa_op(100, 0), sa_op(1000, 0), sa_op(1000, 0)];
-        ops[1].producers = vec![0];
-        ops[2].producers = vec![0];
-        let schedule = TimelineEngine::new(ops).run();
+        let ops = vec![sa_op(100, 0), sa_op(1000, 0), sa_op(1000, 0)];
+        let producers = Adjacency::from(vec![vec![], vec![0], vec![0]]);
+        let schedule = TimelineEngine::new(PhaseGraph::new(ops, producers)).run();
         let [_, b, c] = [schedule.ops[0], schedule.ops[1], schedule.ops[2]];
         assert_eq!(c.main_start, b.main_start + 10 + 1000, "SA issues back to back");
         assert!(schedule.makespan < 3 * 1010 + 10, "dispatch of the branches overlaps");
@@ -1602,12 +1613,11 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            producers: Vec::new(),
             collective: None,
         };
         let mut sa = sa_op(100, 0);
         sa.fused_vu_cycles = 5000;
-        let schedule = TimelineEngine::new(vec![vu, sa]).run();
+        let schedule = TimelineEngine::new(sources(vec![vu, sa])).run();
         let [v, s] = [schedule.ops[0], schedule.ops[1]];
         assert_eq!(v.main_end, 10_010);
         assert_eq!(s.finish, 15_010, "the fused tail starts only when the VU frees up");
@@ -1624,7 +1634,7 @@ mod tests {
         // Two independent requests: the second is released at cycle 50,000,
         // long after the first finishes. Neither its prefetch nor its main
         // phase may start earlier, and the gap must surface as SA idle time.
-        let schedule = TimelineEngine::new(vec![sa_op(1000, 400), sa_op(1000, 400)])
+        let schedule = TimelineEngine::new(sources(vec![sa_op(1000, 400), sa_op(1000, 400)]))
             .run_with_scratch(&[0, 50_000], &mut EngineScratch::default());
         let [a, b] = [schedule.ops[0], schedule.ops[1]];
         assert!(a.finish < 50_000, "the first request finishes well before the release");
@@ -1644,7 +1654,7 @@ mod tests {
         // start it naturally achieved must reproduce the schedule exactly:
         // the release clamp only ever *delays* issue, it never reorders a
         // schedule that already satisfies it.
-        let ops = OpPhases::chain(vec![sa_op(300, 500), sa_op(40, 700), sa_op(900, 100)]);
+        let ops = PhaseGraph::chain(vec![sa_op(300, 500), sa_op(40, 700), sa_op(900, 100)]);
         let engine = TimelineEngine::new(ops);
         let base = engine.run_with_scratch(&[], &mut EngineScratch::default());
         let releases: Vec<u64> = base.ops.iter().map(ScheduledOp::span_start).collect();
@@ -1658,7 +1668,7 @@ mod tests {
     fn release_later_than_producer_finish_delays_the_consumer() {
         // Chain 0 -> 1, but op 1's request only arrives at 10,000 even
         // though op 0 finishes much earlier.
-        let ops = OpPhases::chain(vec![sa_op(100, 0), sa_op(100, 0)]);
+        let ops = PhaseGraph::chain(vec![sa_op(100, 0), sa_op(100, 0)]);
         let schedule =
             TimelineEngine::new(ops).run_with_scratch(&[0, 10_000], &mut EngineScratch::default());
         assert!(schedule.ops[0].finish < 1000);
@@ -1732,9 +1742,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a topological order")]
     fn forward_producer_edges_are_rejected() {
-        let mut ops = vec![sa_op(100, 0), sa_op(100, 0)];
-        ops[0].producers = vec![1];
-        let _ = TimelineEngine::new(ops);
+        let ops = vec![sa_op(100, 0), sa_op(100, 0)];
+        let _ = TimelineEngine::new(PhaseGraph::new(ops, Adjacency::from(vec![vec![1], vec![]])));
     }
 
     #[test]
@@ -1747,10 +1756,9 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            producers: Vec::new(),
             collective: None,
         }];
-        let schedule = TimelineEngine::new(ops).run();
+        let schedule = TimelineEngine::new(sources(ops)).run();
         assert_eq!(schedule.makespan, 510);
         assert_eq!(schedule.timeline.busy_cycles(ComponentKind::Ici), 500);
         assert_eq!(schedule.timeline.busy_cycles(ComponentKind::Hbm), 0);
@@ -1792,7 +1800,7 @@ mod tests {
         let mut b = sa_op(1000, 0);
         a.unit = set.unit(0, Resource::Sa);
         b.unit = set.unit(1, Resource::Sa);
-        let schedule = TimelineEngine::with_resources(vec![a, b], set).run();
+        let schedule = TimelineEngine::with_resources(sources(vec![a, b]), set).run();
         assert_eq!(schedule.ops[0].main_start, 0);
         assert_eq!(schedule.ops[1].main_start, 0, "chip 1's SA is its own resource");
         assert_eq!(schedule.makespan, 1010);
@@ -1817,13 +1825,12 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            producers: Vec::new(),
             collective: Some(Box::new(CollectiveSchedule {
                 links: links.clone(),
                 step_cycles: vec![500, 500],
             })),
         };
-        let schedule = TimelineEngine::with_resources(vec![coll(), coll()], set).run();
+        let schedule = TimelineEngine::with_resources(sources(vec![coll(), coll()]), set).run();
         let [a, b] = [schedule.ops[0], schedule.ops[1]];
         assert_eq!(a.main_end, 1010);
         assert!(b.main_start >= a.main_end, "shared links must serialize the collectives");
@@ -1852,10 +1859,9 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            producers: Vec::new(),
             collective: None,
         };
-        let schedule = TimelineEngine::new(OpPhases::chain(vec![sa, gather, ici])).run();
+        let schedule = TimelineEngine::new(PhaseGraph::chain(vec![sa, gather, ici])).run();
         let set = schedule.resources;
         assert_eq!(set, ResourceSet::single_chip());
         for (kind, component) in [
@@ -1879,9 +1885,9 @@ mod tests {
         // Chip 1 runs one op in the middle of a long chip-0 stream: its
         // whole-chip idle view is the leading and trailing bubble.
         let set = ResourceSet::pod(2, 0);
-        let mut ops = OpPhases::chain(vec![sa_op(1000, 0), sa_op(1000, 0), sa_op(1000, 0)]);
+        let mut ops = vec![sa_op(1000, 0), sa_op(1000, 0), sa_op(1000, 0)];
         ops[1].unit = set.unit(1, Resource::Sa);
-        let schedule = TimelineEngine::with_resources(ops, set).run();
+        let schedule = TimelineEngine::with_resources(PhaseGraph::chain(ops), set).run();
         let bubbles = schedule.resource_timeline.chip_idle_intervals(&set, 1, schedule.makespan);
         assert_eq!(bubbles.len(), 2, "leading and trailing whole-chip bubbles: {bubbles:?}");
         assert!(bubbles[0].len() >= 1000 && bubbles[1].len() >= 1000);

@@ -19,7 +19,9 @@ use npu_power::{
 use npu_serving::{BatchPolicy, ServingOutcome, ServingSimulator};
 use npu_sim::analysis::{self, rules};
 use npu_sim::pod::PodBuilder;
-use npu_sim::timeline::{OpPhases, Resource, ResourceId, ResourceSet, ResourceTimeline};
+use npu_sim::timeline::{
+    OpPhases, PhaseGraph, Resource, ResourceId, ResourceSet, ResourceTimeline,
+};
 use npu_sim::{Diagnostic, Severity, SramCapacityReport, TraceRecorder};
 
 fn chip() -> ChipConfig {
@@ -171,7 +173,7 @@ fn dag_redundant_edge_pass_skips_past_the_anchor_budget() {
 // Time rules
 // ---------------------------------------------------------------------
 
-fn sa_phase(main_cycles: u64, producers: Vec<usize>) -> OpPhases {
+fn sa_phase(main_cycles: u64) -> OpPhases {
     OpPhases {
         unit: Resource::Sa.into(),
         main_cycles,
@@ -180,22 +182,25 @@ fn sa_phase(main_cycles: u64, producers: Vec<usize>) -> OpPhases {
         fused_vu_cycles: 0,
         dispatch_cycles: 100,
         sa_active_cycles: main_cycles,
-        producers,
         collective: None,
     }
 }
 
+/// Two SA phases, 1,000 then 2,000 cycles, the second waiting on the first.
+fn sa_pair() -> PhaseGraph {
+    PhaseGraph::chain(vec![sa_phase(1_000), sa_phase(2_000)])
+}
+
 #[test]
 fn time_release_length_mismatch_is_denied() {
-    let phases = vec![sa_phase(1_000, vec![]), sa_phase(2_000, vec![0])];
-    let report = analysis::analyze_phases(&phases, &[0], None);
+    let report = analysis::analyze_phases(&sa_pair(), &[0], None);
     assert_rule(&report.diagnostics, rules::TIME_RELEASE_LENGTH_MISMATCH, Severity::Deny);
     assert!(report.makespan_window.is_none());
 }
 
 #[test]
 fn time_makespan_outside_the_window_is_denied() {
-    let phases = vec![sa_phase(1_000, vec![]), sa_phase(2_000, vec![0])];
+    let phases = sa_pair();
     // Serial chain: window floor = 100+1000+100+2000 = 3200 = ceiling.
     let clean = analysis::analyze_phases(&phases, &[], Some(3_200));
     assert!(clean.is_schedulable(), "{}", clean.render());
@@ -525,25 +530,25 @@ fn topo_collective_links_mismatch_is_denied() {
     let set = builder.resources();
 
     // (a) A link id outside the set's link range.
-    let mut phases = builder.phases().to_vec();
+    let mut phases = builder.phases().ops().to_vec();
     phases[0].collective.as_mut().expect("collective phase").links[0] = set.link_unchecked(99);
     let diagnostics = analysis::check_collective_phases(&phases, &set, &graph);
     assert_rule(&diagnostics, rules::TOPO_COLLECTIVE_LINKS_MISMATCH, Severity::Deny);
 
     // (b) A link set that is not the fabric's collective ring.
-    let mut phases = builder.phases().to_vec();
+    let mut phases = builder.phases().ops().to_vec();
     phases[0].collective.as_mut().expect("collective phase").links.pop();
     let diagnostics = analysis::check_collective_phases(&phases, &set, &graph);
     assert_rule(&diagnostics, rules::TOPO_COLLECTIVE_LINKS_MISMATCH, Severity::Deny);
 
     // (c) Per-hop steps that no longer sum to the phase's transfer.
-    let mut phases = builder.phases().to_vec();
+    let mut phases = builder.phases().ops().to_vec();
     phases[0].collective.as_mut().expect("collective phase").step_cycles[0] += 1;
     let diagnostics = analysis::check_collective_phases(&phases, &set, &graph);
     assert_rule(&diagnostics, rules::TOPO_COLLECTIVE_LINKS_MISMATCH, Severity::Deny);
 
     // The untouched lowering is clean.
-    let diagnostics = analysis::check_collective_phases(builder.phases(), &set, &graph);
+    let diagnostics = analysis::check_collective_phases(builder.phases().ops(), &set, &graph);
     assert_no_rule(&diagnostics, rules::TOPO_COLLECTIVE_LINKS_MISMATCH);
 
     // (d) A collective with no link at all: a 1-chip fabric lowers to an
@@ -551,7 +556,8 @@ fn topo_collective_links_mismatch_is_denied() {
     let single = LinkGraph::torus(&PodTopology::for_chips(TorusKind::Torus2D, 1));
     let mut lone = PodBuilder::new(&single);
     lone.push_collective(&CollectivePlan::lower(CollectiveKind::AllReduce, 8_000, &single), vec![]);
-    let diagnostics = analysis::check_collective_phases(lone.phases(), &lone.resources(), &single);
+    let diagnostics =
+        analysis::check_collective_phases(lone.phases().ops(), &lone.resources(), &single);
     assert_rule(&diagnostics, rules::TOPO_COLLECTIVE_LINKS_MISMATCH, Severity::Deny);
 }
 
@@ -678,8 +684,7 @@ fn reports_are_byte_identical_across_runs() {
             chip().spec(),
             Some(&GatingParams { vu_bet: 3, vu_delay: 2, ..GatingParams::default() }),
         );
-        let phases = vec![sa_phase(1_000, vec![]), sa_phase(2_000, vec![0])];
-        report.merge(analysis::analyze_phases(&phases, &[], Some(1)));
+        report.merge(analysis::analyze_phases(&sa_pair(), &[], Some(1)));
         report
     };
     let a = dirty();

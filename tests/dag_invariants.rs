@@ -25,14 +25,16 @@
 //! (f) **counters** — the event-loop counters, pinned by digests;
 //! (g) **one store** — the component timeline the engine derives from its
 //!     per-resource tracks equals a live kind-level recording of its
-//!     hooks, over both corpora.
+//!     hooks, over both corpora, and the consumer lists the engine walks
+//!     (`Adjacency::transpose`) equal a nested-`Vec` transpose.
 //!
 //! The corpus covers ≥ 50 random DAGs per run and asserts that fan-in,
 //! fan-out, and diamond topologies all actually occur — a generator
 //! regression that quietly degenerates to chains fails the suite.
 
 use npu_arch::ComponentKind;
-use npu_sim::timeline::{EngineScratch, OpPhases, Resource, Schedule, TimelineEngine};
+use npu_models::Adjacency;
+use npu_sim::timeline::{EngineScratch, OpPhases, PhaseGraph, Resource, Schedule, TimelineEngine};
 use npu_sim::{IdleHistogram, SplitMix64 as Rng, TraceRecorder};
 use regate_bench::Fnv1a as Fnv;
 
@@ -63,7 +65,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: fused,
                 dispatch_cycles: 100,
                 sa_active_cycles: active,
-                producers: Vec::new(),
                 collective: None,
             }
         }
@@ -78,7 +79,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                producers: Vec::new(),
                 collective: None,
             }
         }
@@ -92,7 +92,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                producers: Vec::new(),
                 collective: None,
             }
         }
@@ -106,7 +105,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                producers: Vec::new(),
                 collective: None,
             }
         }
@@ -117,19 +115,19 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
 /// layer `l > 0` draws 1–3 producers from layer `l - 1` (fan-in), and
 /// with probability ~1/3 one extra skip edge to any earlier operator
 /// (diamonds / long-range joins). Layer-0 operators are sources.
-fn random_dag(seed: u64) -> Vec<OpPhases> {
+fn random_dag(seed: u64) -> PhaseGraph {
     let mut rng = Rng::new(0xDA6_0000 ^ seed.wrapping_mul(0x2545_F491_4F6C_DD1D));
     let layers = rng.range(2, 6);
-    let mut ops: Vec<OpPhases> = Vec::new();
+    let mut ops = PhaseGraph::default();
     let mut prev_layer: Vec<usize> = Vec::new();
     for layer in 0..layers {
         let width = rng.range(1, 4);
         let mut this_layer = Vec::with_capacity(width as usize);
         for _ in 0..width {
-            let mut op = random_phases(&mut rng);
+            let op = random_phases(&mut rng);
+            let mut producers = Vec::new();
             if layer > 0 {
                 let fan_in = rng.range(1, 3).min(prev_layer.len() as u64);
-                let mut producers = Vec::new();
                 for _ in 0..fan_in {
                     producers.push(prev_layer[rng.range(0, prev_layer.len() as u64 - 1) as usize]);
                 }
@@ -139,10 +137,8 @@ fn random_dag(seed: u64) -> Vec<OpPhases> {
                 }
                 producers.sort_unstable();
                 producers.dedup();
-                op.producers = producers;
             }
-            this_layer.push(ops.len());
-            ops.push(op);
+            this_layer.push(ops.push(op, producers));
         }
         prev_layer = this_layer;
     }
@@ -150,10 +146,10 @@ fn random_dag(seed: u64) -> Vec<OpPhases> {
 }
 
 /// Chain used by the golden regression: `len` drawn first, then the ops.
-fn golden_chain(seed: u64) -> Vec<OpPhases> {
+fn golden_chain(seed: u64) -> PhaseGraph {
     let mut rng = Rng::new(0xC0FF_EE00 ^ seed.wrapping_mul(0x9E37_79B9));
     let len = rng.range(1, 40);
-    OpPhases::chain((0..len).map(|_| random_phases(&mut rng)).collect())
+    PhaseGraph::chain((0..len).map(|_| random_phases(&mut rng)).collect())
 }
 
 fn digest_ops(schedule: &Schedule) -> u64 {
@@ -193,10 +189,10 @@ fn serial_cost(p: &OpPhases) -> u64 {
 /// Critical-path lower bound over the producer DAG: every operator's main
 /// phase must wait for all producers, then spend dispatch plus
 /// max(main, fused) cycles; any DMA stream lower-bounds its own finish.
-fn critical_path(ops: &[OpPhases]) -> u64 {
+fn critical_path(ops: &PhaseGraph) -> u64 {
     let mut finish = vec![0u64; ops.len()];
-    for (k, p) in ops.iter().enumerate() {
-        let ready = p.producers.iter().map(|&q| finish[q]).max().unwrap_or(0);
+    for (k, p) in ops.ops().iter().enumerate() {
+        let ready = ops.producers().of(k).iter().map(|&q| finish[q]).max().unwrap_or(0);
         finish[k] =
             (ready + p.dispatch_cycles + p.main_cycles.max(p.fused_vu_cycles)).max(p.dma_cycles);
     }
@@ -211,10 +207,10 @@ fn critical_path(ops: &[OpPhases]) -> u64 {
 fn no_op_computes_before_any_producer_finishes() {
     for seed in 0..NUM_DAG_SEEDS {
         let ops = random_dag(seed);
-        let producers: Vec<Vec<usize>> = ops.iter().map(|p| p.producers.clone()).collect();
+        let producers = ops.producers().clone();
         let schedule = TimelineEngine::new(ops).run();
-        for (k, list) in producers.iter().enumerate() {
-            for &p in list {
+        for k in 0..producers.len() {
+            for &p in producers.of(k) {
                 assert!(
                     schedule.ops[k].main_start >= schedule.ops[p].finish,
                     "seed {seed}: op {k} computes at {} before producer {p} finishes at {}",
@@ -255,7 +251,7 @@ fn makespan_sits_between_critical_path_and_serial_sum() {
     let mut strictly_overlapped = 0u64;
     for seed in 0..NUM_DAG_SEEDS {
         let ops = random_dag(seed);
-        let serial: u64 = ops.iter().map(serial_cost).sum();
+        let serial: u64 = ops.ops().iter().map(serial_cost).sum();
         let lower = critical_path(&ops);
         let schedule = TimelineEngine::new(ops).run();
         assert!(
@@ -326,18 +322,19 @@ fn corpus_covers_fan_in_fan_out_diamonds_and_all_units() {
         let mut consumers = vec![0u64; ops.len()];
         // Ancestor bitsets (ops are capped well below 128).
         let mut ancestors = vec![0u128; ops.len()];
-        for (k, p) in ops.iter().enumerate() {
-            if p.producers.len() >= 2 {
+        for (k, p) in ops.ops().iter().enumerate() {
+            let producers = ops.producers().of(k);
+            if producers.len() >= 2 {
                 fan_in += 1;
             }
-            for &q in &p.producers {
+            for &q in producers {
                 consumers[q] += 1;
                 ancestors[k] |= ancestors[q] | (1u128 << q);
             }
             // Diamond: two distinct producers reachable from one common
             // ancestor (two vertex-disjoint paths meet at `k`).
-            for (i, &a) in p.producers.iter().enumerate() {
-                for &b in &p.producers[i + 1..] {
+            for (i, &a) in producers.iter().enumerate() {
+                for &b in &producers[i + 1..] {
                     let closure_a = ancestors[a] | (1u128 << a);
                     let closure_b = ancestors[b] | (1u128 << b);
                     if closure_a & closure_b != 0 {
@@ -386,11 +383,12 @@ fn static_analyzer_accepts_the_corpus_and_brackets_every_makespan() {
 fn static_analyzer_rejects_a_corrupted_corpus_graph() {
     // Non-vacuity check for the oracle above: corrupting one producer id
     // in a corpus DAG must flip the verdict.
-    let mut ops = random_dag(0);
-    let dangling = ops.len() + 7;
-    let last = ops.len() - 1;
-    ops[last].producers.push(dangling);
-    let report = npu_sim::analysis::analyze_phases(&ops, &[], None);
+    let ops = random_dag(0);
+    let n = ops.len();
+    let mut lists: Vec<Vec<usize>> = (0..n).map(|k| ops.producers().of(k).to_vec()).collect();
+    lists[n - 1].push(n + 7);
+    let corrupted = PhaseGraph::new(ops.ops().to_vec(), Adjacency::from(lists));
+    let report = npu_sim::analysis::analyze_phases(&corrupted, &[], None);
     assert!(!report.is_schedulable(), "dangling producer went undetected");
     assert!(report.makespan_window.is_none(), "unschedulable graphs must not predict a window");
 }
@@ -516,7 +514,7 @@ fn chains_also_satisfy_the_dag_invariants() {
     // a chain is just the degenerate one-producer topology.
     for (seed, ..) in CHAIN_GOLDEN {
         let ops = golden_chain(seed);
-        let serial: u64 = ops.iter().map(serial_cost).sum();
+        let serial: u64 = ops.ops().iter().map(serial_cost).sum();
         let lower = critical_path(&ops);
         let schedule = TimelineEngine::new(ops).run();
         assert!(schedule.makespan <= serial, "seed {seed}");
@@ -564,7 +562,7 @@ fn event_loop_counters_match_the_recorded_digests() {
 /// Runs `ops` under the live kind oracle and requires the schedule's
 /// component timeline, derived from the per-resource tracks, to equal
 /// what the oracle recorded from the hooks.
-fn assert_view_matches_live_kinds(label: &str, ops: Vec<OpPhases>) {
+fn assert_view_matches_live_kinds(label: &str, ops: PhaseGraph) {
     let engine = TimelineEngine::new(ops);
     let mut oracle = LiveKindRecorder::for_set(&engine.resources());
     let schedule =
@@ -579,5 +577,23 @@ fn derived_component_timeline_matches_live_kind_recording() {
     }
     for (seed, ..) in CHAIN_GOLDEN {
         assert_view_matches_live_kinds(&format!("chain seed {seed}"), golden_chain(seed));
+    }
+}
+
+#[test]
+fn consumer_lists_equal_a_nested_vec_transpose_over_the_corpus() {
+    // The engine walks `producers.transpose()` to wake consumers; its
+    // ascending lists fix the same-cycle issue order. A plain nested-`Vec`
+    // transpose, filled in consumer order, is the oracle.
+    for seed in 0..NUM_DAG_SEEDS {
+        let ops = random_dag(seed);
+        let producers = ops.producers();
+        let mut oracle: Vec<Vec<usize>> = vec![Vec::new(); producers.len()];
+        for k in 0..producers.len() {
+            for &p in producers.of(k) {
+                oracle[p].push(k);
+            }
+        }
+        assert_eq!(producers.transpose(), Adjacency::from(oracle), "seed {seed}");
     }
 }

@@ -20,7 +20,7 @@ use npu_power::GatingParams;
 use npu_sim::analysis::{self, rules};
 use npu_sim::engine::DISPATCH_OVERHEAD_CYCLES;
 use npu_sim::pod::{pipeline_trace, PodBuilder};
-use npu_sim::timeline::TimelineEngine;
+use npu_sim::timeline::{PhaseGraph, TimelineEngine};
 use npu_sim::{EngineScratch, Resource, ResourceId, Schedule, TraceRecorder};
 use regate::pod_static_gating;
 use regate_bench::Fnv1a as Fnv;
@@ -160,9 +160,9 @@ fn random_pod(seed: u64) -> (LinkGraph, PodBuilder) {
     (graph, builder)
 }
 
-fn run_pod(seed: u64) -> (LinkGraph, Vec<npu_sim::timeline::OpPhases>, Schedule) {
+fn run_pod(seed: u64) -> (LinkGraph, PhaseGraph, Schedule) {
     let (graph, builder) = random_pod(seed);
-    let phases = builder.phases().to_vec();
+    let phases = builder.phases().clone();
     let schedule = builder.engine().run();
     (graph, phases, schedule)
 }
@@ -209,6 +209,7 @@ fn seeded_pod_links_are_never_double_booked() {
             let id = set.link(l);
             // Active occupancy span of every collective using this link.
             let mut spans: Vec<(u64, u64)> = phases
+                .ops()
                 .iter()
                 .zip(&schedule.ops)
                 .filter(|(p, _)| p.collective.as_ref().is_some_and(|c| c.links.contains(&id)))

@@ -23,9 +23,10 @@
 
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig, SramGeometry};
 use npu_compiler::{BufferLifetime, Compiler, SramAllocation};
+use npu_models::Adjacency;
 use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
 use npu_serving::{ArrivalProcess, BatchPolicy, ServingSimulator};
-use npu_sim::timeline::{OpPhases, Resource, TimelineEngine};
+use npu_sim::timeline::{OpPhases, PhaseGraph, Resource, TimelineEngine};
 use npu_sim::{CycleInterval, SegmentTimeline, Simulator, SplitMix64 as Rng, SramCapacityReport};
 
 /// Number of random DAG seeds the invariant sweep covers.
@@ -34,8 +35,8 @@ const NUM_SEEDS: u64 = 60;
 /// Random operator phases across all four units, with random producer
 /// edges into earlier operators (layering kept implicit: any subset of
 /// earlier indices is a valid topological producer set).
-fn random_dag(rng: &mut Rng, n: usize) -> Vec<OpPhases> {
-    let mut ops = Vec::with_capacity(n);
+fn random_dag(rng: &mut Rng, n: usize) -> PhaseGraph {
+    let mut ops = PhaseGraph::default();
     for k in 0..n {
         let unit = match rng.range(0, 3) {
             0 => Resource::Sa,
@@ -53,7 +54,7 @@ fn random_dag(rng: &mut Rng, n: usize) -> Vec<OpPhases> {
             producers.sort_unstable();
             producers.dedup();
         }
-        ops.push(OpPhases {
+        let op = OpPhases {
             unit: unit.into(),
             main_cycles: main,
             dma_cycles: dma,
@@ -61,9 +62,9 @@ fn random_dag(rng: &mut Rng, n: usize) -> Vec<OpPhases> {
             fused_vu_cycles: 0,
             dispatch_cycles: 100,
             sa_active_cycles: if unit == Resource::Sa { main } else { 0 },
-            producers,
             collective: None,
-        });
+        };
+        ops.push(op, producers);
     }
     ops
 }
@@ -306,7 +307,6 @@ fn source(unit: Resource, main: u64) -> OpPhases {
         fused_vu_cycles: 0,
         dispatch_cycles: 100,
         sa_active_cycles: if unit == Resource::Sa { main } else { 0 },
-        producers: Vec::new(),
         collective: None,
     }
 }
@@ -330,8 +330,9 @@ fn concurrent_fan_out_live_segments_sum_where_the_old_model_averaged() {
     };
     let alloc =
         SramAllocation::from_buffers(g, vec![buffer(0, 0, 0, 0), buffer(1, 32 * 1024, 1, 1)], 2);
+    let sources = vec![source(Resource::Sa, 10_000), source(Resource::Vu, 10_000)];
     let schedule =
-        TimelineEngine::new(vec![source(Resource::Sa, 10_000), source(Resource::Vu, 10_000)]).run();
+        TimelineEngine::new(PhaseGraph::new(sources, Adjacency::from_edges(2, []))).run();
     let tl = SegmentTimeline::build(&alloc, &schedule.ops, schedule.makespan);
     check_segment_invariants(&tl, g.total_bytes(), "fan-out");
 

@@ -6,6 +6,12 @@
 //! own structure to the std-only `npu_arch::json::JsonWriter` and this
 //! gate catches envelope bugs in CI.
 //!
+//! `loc` prints library lines of code per crate and in total: for every
+//! `.rs` file under `crates/*/src` (binaries included), the lines before
+//! its first `#[cfg(test)]`, or the whole file when it has none. This is
+//! the size figure the roadmap tracks; net lines removed is a success
+//! metric, so every change reports it the same way.
+//!
 //! `lint` is a token-level source scan that denies
 //! the constructs this workspace's determinism story cannot tolerate.
 //! Every simulated number in the repo is pinned by bit-for-bit digest
@@ -38,6 +44,7 @@
 //! pure function of the tree (files sorted by path, rules in a fixed
 //! order), so CI diffs are stable.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -95,13 +102,16 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(),
+        Some("loc") => run_loc(),
         Some("check-json") => run_check_json(&args[1..]),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <lint | check-json <file>...>");
+            eprintln!("usage: cargo run -p xtask -- <lint | loc | check-json <file>...>");
             eprintln!();
             eprintln!("tasks:");
             eprintln!("  lint        deny hash-iteration, wall-clock, unseeded RNG, and bare");
             eprintln!("              unwrap/expect in the workspace sources");
+            eprintln!("  loc         print library lines of code (before the first");
+            eprintln!("              #[cfg(test)]) per crate and in total");
             eprintln!("  check-json  verify each file parses as a single well-formed JSON");
             eprintln!("              document (exported traces, the sweep matrix)");
             ExitCode::from(2)
@@ -371,23 +381,16 @@ mod json {
 
 fn run_lint() -> ExitCode {
     let root = workspace_root();
-    let mut files = Vec::new();
-    collect_rust_files(&root.join("crates"), &mut files);
-    files.sort();
+    let files = crate_files(&root);
 
     let mut violations = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace(std::path::MAIN_SEPARATOR, "/");
-        let Some(context) = classify(&rel) else { continue };
+    for (path, rel) in &files {
+        let Some(context) = classify(rel) else { continue };
         let Ok(text) = std::fs::read_to_string(path) else {
             eprintln!("xtask lint: unreadable file {rel}");
             return ExitCode::from(2);
         };
-        violations.extend(scan_source(context, &rel, &text));
+        violations.extend(scan_source(context, rel, &text));
     }
 
     if violations.is_empty() {
@@ -400,6 +403,58 @@ fn run_lint() -> ExitCode {
         println!("xtask lint: {} violations in {} files scanned", violations.len(), files.len());
         ExitCode::FAILURE
     }
+}
+
+/// Prints the library line count of every crate and their total (see
+/// [`library_lines`]), crates in name order.
+fn run_loc() -> ExitCode {
+    let root = workspace_root();
+    let mut per_crate: BTreeMap<&str, usize> = BTreeMap::new();
+    let files = crate_files(&root);
+    for (path, rel) in &files {
+        let Some((crate_name, inner)) = rel.strip_prefix("crates/").and_then(|r| r.split_once('/'))
+        else {
+            continue;
+        };
+        if !inner.starts_with("src/") {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(path) else {
+            eprintln!("xtask loc: unreadable file {rel}");
+            return ExitCode::from(2);
+        };
+        *per_crate.entry(crate_name).or_default() += library_lines(&text);
+    }
+    for (crate_name, lines) in &per_crate {
+        println!("{crate_name:<14} {lines:>6}");
+    }
+    println!("{:<14} {:>6}", "total", per_crate.values().sum::<usize>());
+    ExitCode::SUCCESS
+}
+
+/// Lines of a source file before its first `#[cfg(test)]` line — the
+/// whole file when it has none.
+fn library_lines(text: &str) -> usize {
+    text.lines().take_while(|line| !line.trim_start().starts_with("#[cfg(test)]")).count()
+}
+
+/// Every `.rs` file under `crates/`, sorted, with its workspace-relative
+/// `/`-separated path.
+fn crate_files(root: &Path) -> Vec<(PathBuf, String)> {
+    let mut files = Vec::new();
+    collect_rust_files(&root.join("crates"), &mut files);
+    files.sort();
+    files
+        .into_iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace(std::path::MAIN_SEPARATOR, "/");
+            (path, rel)
+        })
+        .collect()
 }
 
 /// The workspace root: two levels above this crate's manifest.
@@ -720,6 +775,14 @@ mod tests {
 
     fn rules_of(violations: &[Violation]) -> Vec<&'static str> {
         violations.iter().map(|v| v.rule).collect()
+    }
+
+    #[test]
+    fn library_lines_stop_at_the_first_test_module() {
+        assert_eq!(library_lines("a\nb\n#[cfg(test)]\nmod tests {}\n"), 2);
+        assert_eq!(library_lines("a\n    #[cfg(test)]\n#[cfg(test)]\n"), 1);
+        assert_eq!(library_lines("a\nb\nc"), 3);
+        assert_eq!(library_lines(""), 0);
     }
 
     #[test]
