@@ -5,6 +5,7 @@
 //! wired through this package. Host-time performance is measured by the
 //! standalone `perfbench` package (see `BENCHMARK.json`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Version stamped into every JSON document the harness binaries write,

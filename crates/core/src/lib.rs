@@ -39,6 +39,7 @@
 //! assert!(eval.performance_overhead(Design::ReGateFull) < 0.01);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -26,6 +26,7 @@
 //! assert!(d.peak_flops() > 4.5e14);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

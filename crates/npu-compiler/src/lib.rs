@@ -40,6 +40,7 @@
 //! assert!(compiled.ops().iter().any(|op| op.fused_vu_elements > 0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

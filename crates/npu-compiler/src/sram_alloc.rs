@@ -7,6 +7,8 @@
 //! simple double-buffered bump allocator over the anchors of a compiled
 //! graph, which is what the software-managed SRAM power gating consumes.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use npu_arch::SramGeometry;
@@ -209,36 +211,44 @@ impl SramAllocation {
     /// buffers per anchor — `O(anchors × live-buffers)` instead of the
     /// point query's `O(anchors × all-buffers)`, which turned the
     /// simulator's per-anchor liveness lookup quadratic on serving-scale
-    /// graphs.
+    /// graphs. Buffers arrive in `live_from` order and the active set
+    /// stays sorted by address range, so no anchor sorts anything.
     #[must_use]
     pub fn live_bytes_profile(&self) -> Vec<u64> {
-        let mut order: Vec<usize> = (0..self.buffers.len()).collect();
-        order.sort_unstable_by_key(|&i| self.buffers[i].live_from);
-        let mut next = 0usize;
-        let mut active: Vec<usize> = Vec::new();
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        let buffers = self.by_live_from();
+        let mut arriving = buffers.iter().peekable();
+        // Address range and last live anchor of each active buffer,
+        // ascending by range.
+        let mut active: Vec<(u64, u64, usize)> = Vec::new();
         let mut profile = Vec::with_capacity(self.num_anchors);
         for index in 0..self.num_anchors {
-            while next < order.len() && self.buffers[order[next]].live_from <= index {
-                active.push(order[next]);
-                next += 1;
+            while let Some(b) = arriving.next_if(|b| b.live_from <= index) {
+                let range = (b.start_addr, b.end_addr());
+                let at = active.partition_point(|&(start, end, _)| (start, end) <= range);
+                active.insert(at, (range.0, range.1, b.live_to));
             }
-            active.retain(|&i| self.buffers[i].live_to >= index);
-            ranges.clear();
-            ranges.extend(active.iter().map(|&i| {
-                let b = &self.buffers[i];
-                (b.start_addr, b.end_addr())
-            }));
-            ranges.sort_unstable();
+            active.retain(|&(.., live_to)| live_to >= index);
             let mut live = 0u64;
             let mut cursor = 0u64;
-            for &(start, end) in &ranges {
+            for &(start, end, _) in &active {
                 live += end.saturating_sub(start.max(cursor));
                 cursor = cursor.max(end);
             }
             profile.push(live);
         }
         profile
+    }
+
+    /// The buffers in `live_from` order: borrowed when they already are
+    /// (the allocator emits them by anchor), sorted otherwise.
+    fn by_live_from(&self) -> Cow<'_, [BufferLifetime]> {
+        if self.buffers.is_sorted_by_key(|b| b.live_from) {
+            Cow::Borrowed(&self.buffers)
+        } else {
+            let mut sorted = self.buffers.clone();
+            sorted.sort_by_key(|b| b.live_from);
+            Cow::Owned(sorted)
+        }
     }
 
     /// Number of 4 KiB (segment-sized) segments live while anchor `index`
@@ -294,39 +304,65 @@ impl SramAllocation {
     /// the double-buffer halves — e.g. the bottom half serving anchors
     /// 0–1 and again anchors 4–5 — reports one range per occupancy, which
     /// is exactly what per-segment idle-interval gating needs (§4.3).
+    ///
+    /// One `O(anchors + segments)` sweep: a segment's covering buffer set
+    /// only changes at a buffer's first segment or one past its last, so
+    /// those boundaries, marked in a bitmap over the segment axis, cut it
+    /// into runs that share a lifetime, and a buffer covers the runs
+    /// between the ranks of its two boundaries. Buffers then arrive in
+    /// `live_from` order, so each run merges a new anchor range into its
+    /// last one or appends it — no per-run filter over every buffer, and
+    /// no sort of the ranges.
     #[must_use]
     pub fn segment_lifetimes(&self) -> Vec<SegmentLifetime> {
-        // Sweep the segment axis: the covering buffer set only changes at
-        // a buffer's first segment or one past its last, so the segments
-        // between two consecutive boundaries share a lifetime.
-        let mut boundaries: Vec<usize> = Vec::with_capacity(self.buffers.len() * 2);
-        let mut spans: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(self.buffers.len());
+        // Bit `s` of `marks`: segment `s` starts a run (or, at
+        // `num_segments`, ends the last one).
+        let mut marks = vec![0u64; self.geometry.num_segments() / 64 + 1];
+        let mut mark = |segment: usize| marks[segment / 64] |= 1 << (segment % 64);
         for b in &self.buffers {
-            let (s0, s1) = self.buffer_segments(b);
-            boundaries.push(s0);
-            boundaries.push(s1 + 1);
-            spans.push((s0, s1, b.live_from, b.live_to));
+            let (first, last) = self.buffer_segments(b);
+            mark(first);
+            mark(last + 1);
         }
-        boundaries.sort_unstable();
-        boundaries.dedup();
-        let mut runs = Vec::new();
-        for pair in boundaries.windows(2) {
-            let (first, end) = (pair[0], pair[1]);
-            let ranges: Vec<(usize, usize)> = spans
-                .iter()
-                .filter(|&&(s0, s1, ..)| s0 <= first && first <= s1)
-                .map(|&(.., from, to)| (from, to))
-                .collect();
-            if ranges.is_empty() {
-                continue;
+        // `rank[w]`: boundaries in the words before word `w`, so a
+        // boundary's rank is the index of the run it starts.
+        let mut rank = Vec::with_capacity(marks.len());
+        let mut boundaries = Vec::new();
+        for (w, &word) in marks.iter().enumerate() {
+            rank.push(boundaries.len());
+            let mut bits = word;
+            while bits != 0 {
+                boundaries.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
-            runs.push(SegmentLifetime {
-                first_segment: first,
-                num_segments: end - first,
-                anchor_ranges: merge_anchor_ranges(ranges),
-            });
         }
-        runs
+        let rank_of = |segment: usize| {
+            let below = marks[segment / 64] & ((1u64 << (segment % 64)) - 1);
+            rank[segment / 64] + below.count_ones() as usize
+        };
+        let mut ranges: Vec<Vec<(usize, usize)>> =
+            vec![Vec::new(); boundaries.len().saturating_sub(1)];
+        for b in self.by_live_from().iter() {
+            let (first, last) = self.buffer_segments(b);
+            for run in &mut ranges[rank_of(first)..rank_of(last + 1)] {
+                // Ranges arrive by ascending start: overlapping the last
+                // one merges (abutting does not; see `SegmentLifetime`).
+                match run.last_mut() {
+                    Some(merged) if b.live_from <= merged.1 => merged.1 = merged.1.max(b.live_to),
+                    _ => run.push((b.live_from, b.live_to)),
+                }
+            }
+        }
+        boundaries
+            .windows(2)
+            .zip(ranges)
+            .filter(|(_, anchor_ranges)| !anchor_ranges.is_empty())
+            .map(|(pair, anchor_ranges)| SegmentLifetime {
+                first_segment: pair[0],
+                num_segments: pair[1] - pair[0],
+                anchor_ranges,
+            })
+            .collect()
     }
 
     /// Anchor ranges keeping one specific segment live (empty if the

@@ -43,6 +43,7 @@
 //! assert_eq!(program.setpm_count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -27,6 +27,7 @@
 //! assert!(graph.total_flops() / graph.total_hbm_bytes() < 10.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -29,6 +29,7 @@
 //! assert!(model.total_static_power_w() < spec.tdp_watts);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -49,6 +49,7 @@
 //! assert!(report.design(Design::ReGateFull).savings > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -26,7 +26,9 @@ use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig};
 use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{OperatorGraph, Workload};
 use npu_sim::analysis::{self, rules, AnalysisReport, Diagnostic, OpSpan, Severity};
-use npu_sim::{EngineScratch, PreparedSimulator, SimulationResult, Simulator, TraceRecorder};
+use npu_sim::{
+    AnchorProfile, EngineScratch, PreparedSimulator, SimulationResult, Simulator, TraceRecorder,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{BatchPolicy, FormedBatch};
@@ -354,26 +356,37 @@ impl TraceCache {
     }
 }
 
+/// One batch size's compiled subgraph and its per-anchor profile on the
+/// simulator's chip, cached together: a trace of these templates is
+/// assembled from the profiles instead of profiling its anchors again.
+#[derive(Debug, Clone)]
+struct BatchTemplate {
+    compiled: Arc<CompiledGraph>,
+    profile: Arc<AnchorProfile>,
+}
+
 /// Simulates a request-serving NPU deployment: one chip model, one
 /// parallelism, an arrival trace in, a scheduled timeline out.
 ///
-/// Lowering, fusion, compilation, SRAM allocation, and dependency
-/// flattening are all release-independent, so the simulator caches them at
-/// two levels keyed by batch shape: per *request count* (one compiled
-/// batch subgraph each) and per *batch-size sequence* (the concatenated
-/// graph prepared for replay, at most 16 sequences, least recently used
-/// evicted first). A sweep that forms the same batch sizes across many
-/// arrival seeds or load points pays the compile path once and then only
-/// re-runs the event loop. Clones share the caches (and the engine scratch
-/// buffers) through `Arc`.
+/// Lowering, fusion, compilation, per-anchor profiling, SRAM allocation,
+/// and dependency flattening are all release-independent, so the
+/// simulator caches them at two levels keyed by batch shape: per *request
+/// count* (one compiled batch subgraph and its anchor profile each) and
+/// per *batch-size sequence* (the concatenated graph prepared for replay,
+/// at most 16 sequences, least recently used evicted first). A sweep that
+/// forms the same batch sizes across many arrival seeds or load points
+/// pays the compile path once and then only re-runs the event loop; a new
+/// sequence of cached sizes copies the templates' records and runs only
+/// the whole-trace passes ([`Simulator::assemble`]). Clones share the
+/// caches (and the engine scratch buffers) through `Arc`.
 #[derive(Debug, Clone)]
 pub struct ServingSimulator {
     chip: ChipConfig,
     parallelism: ParallelismConfig,
     workload: Workload,
     compiler: Compiler,
-    /// Request count → compiled batch subgraph (keyed lookups only).
-    batch_cache: Arc<Mutex<HashMap<usize, Arc<CompiledGraph>>>>, // lint:allow(hash-iter)
+    /// Request count → batch template (keyed lookups only).
+    batch_cache: Arc<Mutex<HashMap<usize, BatchTemplate>>>, // lint:allow(hash-iter)
     /// Batch-size sequence → prepared trace, bounded.
     trace_cache: Arc<Mutex<TraceCache>>,
     /// Reused event-loop buffers for the cached path.
@@ -639,35 +652,42 @@ impl ServingSimulator {
             .build_request_graph(&self.parallelism, num_requests as u64)
     }
 
-    /// [`ServingSimulator::lower`] compiled, once per request count.
-    fn batch_template(&self, num_requests: usize) -> Arc<CompiledGraph> {
+    /// [`ServingSimulator::lower`] compiled and profiled, once per request
+    /// count.
+    fn batch_template(&self, num_requests: usize) -> BatchTemplate {
         if let Some(template) = self.batch_cache.lock().expect("batch cache").get(&num_requests) {
             self.cache_counters.batch_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(template);
+            return template.clone();
         }
         self.cache_counters.batch_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(self.compiler.compile(&self.lower(num_requests)));
+        let compiled = self.compiler.compile(&self.lower(num_requests));
+        let profile = Arc::new(Simulator::new(self.chip.clone()).profile(&compiled));
+        let template = BatchTemplate { compiled: Arc::new(compiled), profile };
         // A racing clone may have built the same template meanwhile; both
         // computed identical graphs, so first insert wins.
-        Arc::clone(
-            self.batch_cache.lock().expect("batch cache").entry(num_requests).or_insert(compiled),
-        )
+        self.batch_cache
+            .lock()
+            .expect("batch cache")
+            .entry(num_requests)
+            .or_insert(template)
+            .clone()
     }
 
     /// The prepared trace of one batch-size sequence: per-batch compiled
     /// templates concatenated (compilation is edge-local, so this equals
     /// compiling the concatenated operator graph — pinned by the
     /// `concatenating_compiled_subgraphs_matches_compiling_the_concatenation`
-    /// test) and prepared for release-vector replay. The combined graph
-    /// is sized once, from the templates' totals, before anything is
-    /// appended.
+    /// test) and assembled for release-vector replay from the templates'
+    /// anchor profiles (profiling is anchor-local, so this equals
+    /// preparing the concatenation). The combined graph is sized once,
+    /// from the templates' totals, before anything is appended.
     fn prepared_trace(&self, shape: &[usize], num_requests: usize) -> Arc<PreparedTrace> {
         if let Some(trace) = self.cached_trace(shape) {
             self.cache_counters.trace_hits.fetch_add(1, Ordering::Relaxed);
             return trace;
         }
         self.cache_counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-        let templates: Vec<Arc<CompiledGraph>> =
+        let templates: Vec<BatchTemplate> =
             shape.iter().map(|&count| self.batch_template(count)).collect();
         let mut combined = CompiledGraph::empty(format!(
             "{}-serving-{num_requests}req-{}",
@@ -675,12 +695,14 @@ impl ServingSimulator {
             self.parallelism
         ));
         combined.reserve(
-            templates.iter().map(|t| t.len()).sum(),
-            templates.iter().map(|t| t.num_anchors()).sum(),
-            templates.iter().map(|t| t.num_edges()).sum(),
+            templates.iter().map(|t| t.compiled.len()).sum(),
+            templates.iter().map(|t| t.compiled.num_anchors()).sum(),
+            templates.iter().map(|t| t.compiled.num_edges()).sum(),
         );
-        let op_ranges = templates.iter().map(|template| combined.extend_from(template)).collect();
-        let prepared = Simulator::new(self.chip.clone()).prepare(&combined);
+        let op_ranges =
+            templates.iter().map(|template| combined.extend_from(&template.compiled)).collect();
+        let prepared = Simulator::new(self.chip.clone())
+            .assemble(&combined, templates.into_iter().map(|template| template.profile).collect());
         let trace = Arc::new(PreparedTrace {
             graph_verdict: analysis::check_compiled_graph(&combined),
             compiled: Arc::new(combined),

@@ -479,21 +479,48 @@ fn push_capped(out: &mut Vec<Diagnostic>, findings: Vec<Diagnostic>) {
 /// (or, worse, silently misschedule) becomes a [`Severity::Deny`]
 /// diagnostic, and legal-but-suspicious shapes become warnings/notes.
 /// Spans are compiled-operator ids.
+///
+/// Kahn's readiness pass runs only when some producer edge does not
+/// precede its consumer (`p >= id`, which includes out-of-range ids):
+/// when every edge points backwards the id order is a topological order,
+/// every operator drains, and the pass could report nothing.
 #[must_use]
 pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let ops = graph.ops();
-    let n = ops.len();
-    if n == 0 {
-        out.push(Diagnostic::note(
+    if graph.is_empty() {
+        return vec![Diagnostic::note(
             rules::DAG_EMPTY_GRAPH,
             None,
             format!("graph '{}' has no operators", graph.name()),
-        ));
-        return out;
+        )];
     }
+    let mut structure = check_edges(graph);
+    if structure.forward_edge {
+        structure.diagnostics.extend(unreachable_ops(graph));
+    }
+    // Anchor-level smells need a structurally sound graph to be
+    // meaningful (and the redundancy pass needs topological ids).
+    if !structure.deny {
+        structure.diagnostics.extend(check_anchor_connectivity(graph));
+    }
+    structure.diagnostics
+}
 
+/// What the per-edge pass of [`check_compiled_graph`] found.
+struct EdgeVerdict {
+    diagnostics: Vec<Diagnostic>,
+    /// Some structural rule denied the graph.
+    deny: bool,
+    /// Some producer edge does not precede its consumer (`p >= id`).
+    forward_edge: bool,
+}
+
+/// The per-operator and per-edge rules of [`check_compiled_graph`].
+fn check_edges(graph: &CompiledGraph) -> EdgeVerdict {
+    let mut out = Vec::new();
+    let ops = graph.ops();
+    let n = ops.len();
     let mut structural_deny = false;
+    let mut forward_edge = false;
     for (id, op) in ops.iter().enumerate() {
         if let Some(anchor) = op.folded_into {
             let anchor_ok = anchor < n && anchor != id && ops[anchor].folded_into.is_none();
@@ -530,6 +557,7 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
             }
         }
         for &p in graph.producers_of(id) {
+            forward_edge |= p >= id;
             if p >= n {
                 structural_deny = true;
                 out.push(Diagnostic::deny(
@@ -571,7 +599,16 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
             }
         }
     }
+    EdgeVerdict { diagnostics: out, deny: structural_deny, forward_edge }
+}
 
+/// Kahn's readiness pass of [`check_compiled_graph`]: one
+/// `dag.unreachable-op` denial (capped) per operator no pop order can
+/// ever make ready.
+fn unreachable_ops(graph: &CompiledGraph) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let ops = graph.ops();
+    let n = ops.len();
     // Readiness: Kahn's algorithm over the producer relation. An edge
     // whose producer is out of range (or the operator itself) never
     // drains, so operators behind dangling producers and operators on
@@ -613,12 +650,6 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
             })
             .collect();
         push_capped(&mut out, stuck);
-    }
-
-    // Anchor-level smells need a structurally sound graph to be
-    // meaningful (and the redundancy pass needs topological ids).
-    if !structural_deny {
-        out.extend(check_anchor_connectivity(graph));
     }
     out
 }
@@ -1464,7 +1495,7 @@ fn first_interval_divergence(merged: &[CycleInterval], finalized: &[CycleInterva
 mod tests {
     use super::*;
     use npu_arch::{NpuGeneration, NpuSpec, ParallelismConfig};
-    use npu_compiler::Compiler;
+    use npu_compiler::{CompiledOp, Compiler};
     use npu_models::{fixtures, LlamaModel, LlmPhase, Workload};
 
     fn compile(graph: &npu_models::OperatorGraph) -> CompiledGraph {
@@ -1582,6 +1613,120 @@ mod tests {
             "analysis: 1 deny, 1 warn, 1 note; makespan window [10, 20] cycles\n  deny \
              dag.cycle @2..5: x\n  warn dag.orphan-sink @7: y\n  note dag.redundant-edge: z\n"
         );
+    }
+
+    /// The DAG verdict with Kahn's readiness pass run on every graph, as
+    /// it was before the pass learned to skip graphs whose edges all
+    /// point backwards — the oracle of the skip.
+    fn always_kahn(graph: &CompiledGraph) -> Vec<Diagnostic> {
+        if graph.is_empty() {
+            return check_compiled_graph(graph);
+        }
+        let mut structure = check_edges(graph);
+        structure.diagnostics.extend(unreachable_ops(graph));
+        if !structure.deny {
+            structure.diagnostics.extend(check_anchor_connectivity(graph));
+        }
+        structure.diagnostics
+    }
+
+    /// Every `analysis_rules` DAG fixture: the clean compilations and each
+    /// corruption of the diamond assembled through `from_parts`.
+    fn dag_rule_fixtures() -> Vec<CompiledGraph> {
+        let diamond = compile(&fixtures::clean_diamond());
+        let parts = || {
+            let producers: Vec<Vec<usize>> =
+                (0..diamond.len()).map(|id| diamond.producers_of(id).to_vec()).collect();
+            (diamond.ops().to_vec(), producers)
+        };
+        let corrupt = |edit: fn(&mut Vec<CompiledOp>, &mut Vec<Vec<usize>>)| {
+            let (mut ops, mut producers) = parts();
+            edit(&mut ops, &mut producers);
+            CompiledGraph::from_parts("broken", ops, producers)
+        };
+        let chain_op = diamond.ops()[0].clone();
+        let chain = CompiledGraph::from_parts(
+            "mega-chain",
+            vec![chain_op; 4097],
+            (0..4097).map(|id| if id == 0 { vec![] } else { vec![id - 1] }).collect(),
+        );
+        vec![
+            compile(&fixtures::clean_diamond()),
+            compile(&fixtures::disconnected_op()),
+            compile(&fixtures::redundant_transitive_edge()),
+            CompiledGraph::empty("void"),
+            corrupt(|_, producers| producers[3].push(99)),
+            corrupt(|_, producers| producers[1].push(2)),
+            corrupt(|ops, producers| {
+                ops[1].folded_into = Some(0);
+                producers[1].clear();
+            }),
+            corrupt(|ops, _| ops[1].folded_into = Some(0)),
+            corrupt(|ops, producers| {
+                ops[1].folded_into = Some(1);
+                producers[1].clear();
+            }),
+            corrupt(|_, producers| producers[1].push(1)),
+            chain,
+        ]
+    }
+
+    /// Seeded random graphs through `from_parts`: backward edges mostly,
+    /// and in some graphs a forward, self or out-of-range edge, or a
+    /// random fold.
+    fn random_dag_corpus() -> Vec<CompiledGraph> {
+        let template = compile(&fixtures::clean_diamond()).ops()[0].clone();
+        let mut rng = crate::rng::SplitMix64::new(0x0DA6_CAFE);
+        (0..300)
+            .map(|case| {
+                let n = rng.range(1, 40) as usize;
+                let mut ops = vec![template.clone(); n];
+                let mut producers: Vec<Vec<usize>> = (0..n)
+                    .map(|id| {
+                        let fan_in = if id == 0 { 0 } else { rng.range(0, 3) };
+                        (0..fan_in).map(|_| rng.range(0, id as u64 - 1) as usize).collect()
+                    })
+                    .collect();
+                let victim = rng.range(0, n as u64 - 1) as usize;
+                match case % 5 {
+                    1 => producers[victim].push(rng.range(victim as u64, n as u64 + 2) as usize),
+                    2 if victim > 0 => {
+                        ops[victim].folded_into = Some(rng.range(0, victim as u64 - 1) as usize);
+                    }
+                    _ => {}
+                }
+                CompiledGraph::from_parts(format!("random-{case}"), ops, producers)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skipping_kahn_on_backward_edges_reports_what_always_kahn_reports() {
+        let compiler = Compiler::new(NpuSpec::generation(NpuGeneration::D));
+        let single = ParallelismConfig::single();
+        let decode = compiler.compile(
+            &Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode)
+                .with_batch(6)
+                .build_request_graph(&single, 3),
+        );
+        let dlrm = compiler.compile(
+            &Workload::dlrm(npu_models::DlrmSize::Small)
+                .with_batch(64)
+                .build_request_graph(&single, 2),
+        );
+        let mut serving = CompiledGraph::empty("serving");
+        for template in [&decode, &dlrm, &decode, &decode] {
+            serving.extend_from(template);
+        }
+        let mut skipped = 0;
+        let graphs = dag_rule_fixtures().into_iter().chain(random_dag_corpus()).chain([serving]);
+        for graph in graphs {
+            let all_backward =
+                (0..graph.len()).all(|id| graph.producers_of(id).iter().all(|&p| p < id));
+            skipped += usize::from(all_backward && !graph.is_empty());
+            assert_eq!(check_compiled_graph(&graph), always_kahn(&graph), "{}", graph.name());
+        }
+        assert!(skipped > 100, "only {skipped} graphs exercised the skip");
     }
 
     #[test]

@@ -74,6 +74,34 @@ struct OpProfile {
     timing: OpTiming,
 }
 
+/// The per-anchor profile of one compiled graph on one chip: everything
+/// [`Simulator::prepare`] derives from a single anchor and the chip, and
+/// nothing that depends on the anchor's neighbours. That is each anchor's
+/// [`OpPhases`], its [`OpTiming`] record and its SA/VU flop addends (the
+/// terms of the graph's work totals).
+///
+/// Two fields of each record are **whole-trace** fields and stay 0 here:
+/// [`OpTiming::op_index`] (the anchor's position in the assembled trace)
+/// and [`OpTiming::sram_live_bytes`] (the double-buffer allocation places
+/// anchors by the parity of that position, and a buffer lives from the
+/// anchor before to the anchor after, across any join). The assembly
+/// ([`Simulator::assemble`]) fills both.
+///
+/// Because nothing else crosses an anchor, the profile of a concatenation
+/// is the concatenation of its parts' profiles: a serving simulator
+/// profiles each batch template once and assembles every trace of those
+/// templates from the cached profiles.
+#[derive(Debug)]
+pub struct AnchorProfile {
+    chip: ChipConfig,
+    phases: Vec<OpPhases>,
+    /// Anchor records with the two whole-trace fields left at 0.
+    timings: Arc<[OpTiming]>,
+    /// `[SA, VU]` flops each anchor adds to the work totals: an SA
+    /// operator's own flops count as SA, its fused vector work as VU.
+    flops: Vec<[f64; 2]>,
+}
+
 impl Simulator {
     /// Creates a simulator for the given chip deployment.
     #[must_use]
@@ -130,57 +158,136 @@ impl Simulator {
     /// loop, the span-to-clock segment mapping, and the busy-track
     /// finalization run — the per-anchor profiling, SRAM allocation
     /// sweep, the engine's reverse edges, and the shared per-anchor
-    /// records are all paid here. The anchor-space producer lists
-    /// ([`CompiledGraph::anchor_producers`]) are built once and handed to
-    /// the engine as they are; no per-anchor list is copied. This is the
-    /// compile-once/run-many path the serving layer's graph cache builds
-    /// on.
+    /// records are all paid here. This is the one-part case of
+    /// [`Simulator::assemble`]: the graph's own [`Simulator::profile`],
+    /// whose records become the prepared simulator's in place.
     #[must_use]
     pub fn prepare(&self, graph: &CompiledGraph) -> PreparedSimulator {
+        self.assemble(graph, vec![Arc::new(self.profile(graph))])
+    }
+
+    /// Profiles every anchor of a compiled graph on this chip: the
+    /// release-independent, anchor-local half of [`Simulator::prepare`]
+    /// (see [`AnchorProfile`]). The records are collected straight into
+    /// their shared slice: the anchor walk has an exact length, so each is
+    /// written once, in place.
+    #[must_use]
+    pub fn profile(&self, graph: &CompiledGraph) -> AnchorProfile {
+        let mut phases = Vec::with_capacity(graph.num_anchors());
+        let mut flops = Vec::with_capacity(graph.num_anchors());
+        let timings = graph
+            .anchors()
+            .map(|op| {
+                flops.push(match op.unit {
+                    ExecutionUnit::Sa => [op.op.flops(), op.fused_vu_flops],
+                    _ => [0.0, op.op.flops() + op.fused_vu_flops],
+                });
+                let profile = self.profile_operator(op);
+                phases.push(profile.phases);
+                profile.timing
+            })
+            .collect();
+        AnchorProfile { chip: self.chip.clone(), phases, timings, flops }
+    }
+
+    /// Assembles the prepared simulator of `graph` from the profiles of
+    /// the graphs it concatenates, in order — the one preparation path.
+    /// The parts supply every anchor-local record; the assembly runs only
+    /// the passes that span the whole graph: the SRAM allocation with its
+    /// live-byte sweep and segment lifetimes, the two whole-trace record
+    /// fields, the work totals (summed in anchor order), and the engine's
+    /// reverse edges and DMA buffer ring. The anchor-space producer lists
+    /// ([`CompiledGraph::anchor_producers`]) are built once and handed to
+    /// the engine as they are.
+    ///
+    /// A lone part this call holds the only handle to (the one-part
+    /// [`Simulator::prepare`]) hands over its phases and records in
+    /// place; shared parts (cached batch templates) are copied once, each
+    /// record written straight into the shared slice. Either way the
+    /// result equals [`Simulator::prepare`] of `graph`, bit for bit, when
+    /// the parts are the profiles of the graphs `graph` concatenates.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the mismatch, if the parts do not cover exactly the
+    /// graph's anchors or were profiled for another chip deployment.
+    #[must_use]
+    pub fn assemble(
+        &self,
+        graph: &CompiledGraph,
+        mut parts: Vec<Arc<AnchorProfile>>,
+    ) -> PreparedSimulator {
+        let n = graph.num_anchors();
+        let profiled: usize = parts.iter().map(|part| part.phases.len()).sum();
+        assert_eq!(
+            profiled,
+            n,
+            "the profiles cover {profiled} anchors but graph '{}' has {n}",
+            graph.name()
+        );
+        for part in &parts {
+            assert!(
+                part.chip == self.chip,
+                "a profile of {} chip(s) of {:?} assembled on {} chip(s) of {:?}",
+                part.chip.num_chips(),
+                part.chip.spec().generation,
+                self.chip.num_chips(),
+                self.chip.spec().generation
+            );
+        }
         let spec = self.chip.spec();
         let allocation = SramAllocation::allocate(graph, spec.sram_geometry());
         // One sweep over the buffer list instead of a per-anchor
         // `live_bytes_at` point query (which is O(buffers) per anchor and
         // dominated the whole simulation on big graphs).
         let live_profile = allocation.live_bytes_profile();
-
-        let mut phases = Vec::with_capacity(graph.num_anchors());
-        let mut sa_weighted_spatial = 0.0f64;
         let (mut sa_flops, mut vu_flops) = (0.0, 0.0);
-        // Collected straight into the shared slice: the anchor walk has an
-        // exact length, so the records are written once, in place.
-        let timings: Arc<[OpTiming]> = graph
-            .anchors()
-            .enumerate()
-            .map(|(anchor_index, op)| {
-                match op.unit {
-                    ExecutionUnit::Sa => {
-                        sa_flops += op.op.flops();
-                        vu_flops += op.fused_vu_flops;
-                    }
-                    _ => vu_flops += op.op.flops() + op.fused_vu_flops,
-                }
-                let mut profile = self.profile_operator(op);
-                profile.timing.op_index = anchor_index;
-                profile.timing.sram_live_bytes = live_profile[anchor_index];
-                // Over-capacity live bytes are an allocator bug, not a value
-                // downstream consumers may quietly clamp; see
-                // `validation::SramCapacityReport` for the release-mode audit.
-                debug_assert!(
-                    profile.timing.sram_live_bytes <= spec.sram_bytes(),
-                    "anchor {anchor_index}: allocator reports {} live bytes in a {}-byte \
-                     scratchpad",
-                    profile.timing.sram_live_bytes,
-                    spec.sram_bytes()
-                );
-                sa_weighted_spatial +=
-                    profile.timing.sa_spatial_utilization * profile.timing.sa_active_cycles as f64;
-                phases.push(profile.phases);
-                profile.timing
-            })
-            .collect();
-        let hbm_bytes: f64 = timings.iter().map(|t| t.hbm_bytes as f64).sum();
-        let ici_bytes: f64 = timings.iter().map(|t| t.ici_bytes as f64).sum();
+        for [sa, vu] in parts.iter().flat_map(|part| part.flops.iter()) {
+            sa_flops += sa;
+            vu_flops += vu;
+        }
+        // The whole-trace fields of each record, and the work sums over
+        // the records in anchor order, in the one pass that writes them.
+        let (mut sa_weighted_spatial, mut hbm_bytes, mut ici_bytes) = (0.0f64, 0.0f64, 0.0f64);
+        let mut finish_record = |anchor_index: usize, timing: &mut OpTiming| {
+            timing.op_index = anchor_index;
+            timing.sram_live_bytes = live_profile[anchor_index];
+            sa_weighted_spatial += timing.sa_spatial_utilization * timing.sa_active_cycles as f64;
+            hbm_bytes += timing.hbm_bytes as f64;
+            ici_bytes += timing.ici_bytes as f64;
+        };
+        let (phases, timings) = if parts.len() == 1 && Arc::strong_count(&parts[0]) == 1 {
+            let lone = parts.pop().and_then(Arc::into_inner).expect("the sole handle");
+            let mut timings = lone.timings;
+            for (anchor_index, timing) in Arc::make_mut(&mut timings).iter_mut().enumerate() {
+                finish_record(anchor_index, timing);
+            }
+            (lone.phases, timings)
+        } else {
+            let mut phases = Vec::with_capacity(n);
+            for part in &parts {
+                phases.extend_from_slice(&part.phases);
+            }
+            let mut records = parts.iter().flat_map(|part| part.timings.iter());
+            // A mapped range has an exact length, so the slice is
+            // allocated once and each record written once, in place.
+            let timings = (0..n)
+                .map(|anchor_index| {
+                    let mut timing = records.next().expect("the parts cover every anchor").clone();
+                    finish_record(anchor_index, &mut timing);
+                    timing
+                })
+                .collect();
+            (phases, timings)
+        };
+        // Over-capacity live bytes are an allocator bug, not a value
+        // downstream consumers may quietly clamp; see
+        // `validation::SramCapacityReport` for the release-mode audit.
+        debug_assert!(
+            live_profile.iter().all(|&live| live <= spec.sram_bytes()),
+            "the allocator reports more live bytes than the {}-byte scratchpad holds",
+            spec.sram_bytes()
+        );
         let work = ChipUsage {
             busy_seconds: 0.0,
             sa_flops,
@@ -1208,6 +1315,34 @@ mod tests {
         for (timing, anchor) in result.timings().iter().zip(combined.anchors()) {
             assert!(Arc::ptr_eq(&timing.name, &anchor.op.name), "{}", anchor.op.name);
         }
+    }
+
+    /// A DLRM-S template, its profile on `chip`, and the concatenation
+    /// of two copies.
+    fn doubled_template(chip: &ChipConfig) -> (AnchorProfile, CompiledGraph) {
+        let graph = Workload::dlrm(DlrmSize::Small).build_graph(&ParallelismConfig::single());
+        let template = Compiler::new(chip.spec().clone()).compile(&graph);
+        let mut combined = CompiledGraph::empty("combined");
+        combined.extend_from(&template);
+        combined.extend_from(&template);
+        (Simulator::new(chip.clone()).profile(&template), combined)
+    }
+
+    #[test]
+    #[should_panic(expected = "the profiles cover")]
+    fn assembling_parts_that_miss_anchors_panics_naming_the_counts() {
+        let chip = ChipConfig::new(NpuGeneration::D, 1);
+        let (profile, combined) = doubled_template(&chip);
+        let _ = Simulator::new(chip).assemble(&combined, vec![Arc::new(profile)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "assembled on 1 chip(s) of D")]
+    fn assembling_another_chips_profile_panics_naming_both_chips() {
+        let (profile, combined) = doubled_template(&ChipConfig::new(NpuGeneration::C, 1));
+        let profile = Arc::new(profile);
+        let chip = ChipConfig::new(NpuGeneration::D, 1);
+        let _ = Simulator::new(chip).assemble(&combined, vec![Arc::clone(&profile), profile]);
     }
 
     #[test]

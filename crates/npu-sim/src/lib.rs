@@ -44,6 +44,7 @@
 //! assert!(result.activity().temporal_utilization(npu_arch::ComponentKind::Sa) > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -65,7 +66,7 @@ pub use analysis::{
     AnalysisReport, Diagnostic, MakespanWindow, OpSpan, Severity, SramCapacityReport,
     SramCapacityViolation,
 };
-pub use engine::{PreparedSimulator, SimulationResult, Simulator};
+pub use engine::{AnchorProfile, PreparedSimulator, SimulationResult, Simulator};
 pub use observer::{NullObserver, SimObserver};
 pub use pod::PodBuilder;
 pub use rng::SplitMix64;

@@ -77,7 +77,7 @@ impl PodBuilder {
         kind: Resource,
         main_cycles: u64,
         dma_cycles: u64,
-        producers: Vec<usize>,
+        producers: impl IntoIterator<Item = usize>,
     ) -> usize {
         let sa_active = if kind == Resource::Sa { main_cycles } else { 0 };
         let op = OpPhases {
@@ -95,7 +95,11 @@ impl PodBuilder {
 
     /// Pushes a lowered collective occupying the plan's links and returns
     /// its index.
-    pub fn push_collective(&mut self, plan: &CollectivePlan, producers: Vec<usize>) -> usize {
+    pub fn push_collective(
+        &mut self,
+        plan: &CollectivePlan,
+        producers: impl IntoIterator<Item = usize>,
+    ) -> usize {
         let schedule = collective_schedule(plan, &self.set);
         let unit = schedule.links.first().copied().unwrap_or(self.set.unit(0, Resource::Ici));
         let op = OpPhases {
@@ -146,13 +150,9 @@ pub fn pipeline_trace(graph: &LinkGraph, stage_cycles: &[u64], microbatches: usi
     let mut index = vec![0usize; stages];
     for m in 0..microbatches {
         for (s, &cycles) in stage_cycles.iter().enumerate() {
-            let mut producers = Vec::new();
-            if s > 0 {
-                producers.push(index[s - 1]);
-            }
-            if m > 0 {
-                producers.push(index[s]);
-            }
+            // Stage `s-1` of this microbatch, then stage `s` of the previous one.
+            let producers =
+                (s > 0).then(|| index[s - 1]).into_iter().chain((m > 0).then_some(index[s]));
             index[s] = builder.push_unit(s, Resource::Sa, cycles, 0, producers);
         }
     }

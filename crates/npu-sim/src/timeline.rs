@@ -914,10 +914,11 @@ pub struct TimelineEngine {
     /// `consumers.of(k)`: the operators whose main phase waits for `k` to
     /// finish (the transpose of the producer lists).
     consumers: Adjacency,
-    /// `buffer_dep[k]`: operator whose completion frees `k`'s input buffer.
-    buffer_dep: Vec<Option<usize>>,
-    /// `buffer_waiters.of(k)`: the operators whose prefetch waits for `k`
-    /// to free its input buffer (the reverse of `buffer_dep`).
+    /// `buffer_waiters.of(k)`: the operator whose prefetch waits for `k` to
+    /// free its input buffer — the DMA user [`Self::DMA_BUFFER_DEPTH`]
+    /// places after `k` in the sequence of DMA-using operators (empty for
+    /// every other operator). The first `DMA_BUFFER_DEPTH` DMA users find
+    /// a free buffer at seed time.
     buffer_waiters: Adjacency,
 }
 
@@ -992,21 +993,20 @@ impl TimelineEngine {
                 );
             }
         }
-        let n = phases.len();
         let consumers = phases.producers.transpose();
         // The DMA of the j-th DMA-using operator waits for the
         // (j - DMA_BUFFER_DEPTH)-th DMA-using operator to release its
         // buffer.
-        let mut buffer_dep = vec![None; n];
-        let dma_users: Vec<usize> = (0..n).filter(|&k| phases.ops[k].dma_cycles > 0).collect();
-        for (j, &k) in dma_users.iter().enumerate().skip(Self::DMA_BUFFER_DEPTH) {
-            buffer_dep[k] = Some(dma_users[j - Self::DMA_BUFFER_DEPTH]);
-        }
+        let dma_users: Vec<usize> =
+            (0..phases.len()).filter(|&k| phases.ops[k].dma_cycles > 0).collect();
         let buffer_waiters = Adjacency::from_edges(
-            n,
-            buffer_dep.iter().enumerate().filter_map(|(k, dep)| dep.map(|owner| (owner, k))),
+            phases.len(),
+            dma_users
+                .iter()
+                .zip(dma_users.iter().skip(Self::DMA_BUFFER_DEPTH))
+                .map(|(&owner, &waiter)| (owner, waiter)),
         );
-        TimelineEngine { phases, resources, consumers, buffer_dep, buffer_waiters }
+        TimelineEngine { phases, resources, consumers, buffer_waiters }
     }
 
     /// The resource set the engine schedules over.
@@ -1085,12 +1085,16 @@ impl TimelineEngine {
             prefetch_free: vec![0; self.resources.num_chips()],
             counters: RunCounters::for_set(&self.resources),
         };
-        // Seed the queue: buffer-free prefetches, then every source
-        // operator (all producers already satisfied).
+        // Seed the queue: buffer-free prefetches (the first
+        // `DMA_BUFFER_DEPTH` DMA users), then every source operator (all
+        // producers already satisfied).
+        let mut dma_users = 0usize;
         for k in 0..n {
-            run.state[k].buffer_ready = self.buffer_dep[k].is_none();
+            let dma_user = self.phases.ops[k].dma_cycles > 0;
+            run.state[k].buffer_ready = !dma_user || dma_users < Self::DMA_BUFFER_DEPTH;
             run.state[k].pending_producers = self.phases.producers.of(k).len();
-            if self.phases.ops[k].dma_cycles > 0 {
+            if dma_user {
+                dma_users += 1;
                 run.try_issue_dma(k, 0, obs);
             }
         }

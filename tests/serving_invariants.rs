@@ -19,11 +19,13 @@
 //!     low-load trace exposes long inter-request idle intervals that the
 //!     unmodified interval-walking evaluator actually gates.
 
+use std::sync::Arc;
+
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration};
-use npu_compiler::Compiler;
-use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
+use npu_compiler::{CompiledGraph, Compiler};
+use npu_models::{CollectiveKind, DlrmSize, LlamaModel, LlmPhase, OpKind, Workload};
 use npu_serving::{ArrivalProcess, BatchPolicy, ServingOutcome, ServingReport, ServingSimulator};
-use npu_sim::{IdleHistogram, SimulationResult, Simulator};
+use npu_sim::{AnchorProfile, IdleHistogram, SimulationResult, Simulator, SplitMix64 as Rng};
 use regate::{Design, Evaluator};
 use regate_bench::Fnv1a as Fnv;
 
@@ -363,6 +365,101 @@ fn cached_compile_path_matches_fresh_compile_bit_for_bit() {
                 "{label}: cache-hit replay diverges"
             );
         }
+    }
+}
+
+/// One deployment's batch templates as the serving layer lowers them (a
+/// batch of `n` requests: the per-request workload scaled to `n` requests'
+/// samples through `build_request_graph`), each compiled and profiled
+/// once.
+fn batch_templates(
+    workload: Workload,
+    chips: usize,
+    max_batch: usize,
+) -> (Simulator, Vec<(CompiledGraph, Arc<AnchorProfile>)>) {
+    let chip = ChipConfig::new(NpuGeneration::D, chips);
+    let parallelism = workload.default_parallelism(chip.spec(), chips).expect("feasible");
+    let compiler = Compiler::new(chip.spec().clone());
+    let simulator = Simulator::new(chip);
+    let templates = (1..=max_batch)
+        .map(|n| {
+            let graph = workload
+                .with_batch(workload.batch() * n as u64)
+                .build_request_graph(&parallelism, n as u64);
+            let compiled = compiler.compile(&graph);
+            let profile = Arc::new(simulator.profile(&compiled));
+            (compiled, profile)
+        })
+        .collect();
+    (simulator, templates)
+}
+
+#[test]
+fn traces_assembled_from_template_profiles_equal_preparing_the_concatenation() {
+    // Preparation is anchor-local apart from the SRAM allocation's parity
+    // and the DMA buffer ring, so a trace assembled from cached template
+    // profiles must equal `prepare` of the same concatenation bit for bit:
+    // results under batch releases, analyzer reports, and the operator
+    // names it shares with the templates.
+    let deployments = [
+        ("decode x2", Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2), 1, 4),
+        ("dlrm-s x32", Workload::dlrm(DlrmSize::Small).with_batch(32), 1, 8),
+        ("dlrm-s x32 on 2 chips", Workload::dlrm(DlrmSize::Small).with_batch(32), 2, 8),
+    ];
+    let mut rng = Rng::new(0xC044_05E5);
+    for (label, workload, chips, max_batch) in deployments {
+        let (simulator, templates) = batch_templates(workload, chips, max_batch);
+        let merge = |compiled: &CompiledGraph| compiled.ops().last().expect("a merge").op.kind;
+        if chips > 1 {
+            assert!(
+                templates.iter().all(|(compiled, _)| matches!(
+                    merge(compiled),
+                    OpKind::Collective { kind: CollectiveKind::AllGather, .. }
+                )),
+                "{label}: every batch must end in an all-gather merge"
+            );
+        }
+        let odd = |size: usize| templates[size - 1].0.num_anchors() % 2 == 1;
+        let mut odd_joins = 0;
+        for case in 0..4 {
+            let sizes: Vec<usize> =
+                (0..rng.range(2, 6)).map(|_| rng.range(1, max_batch as u64) as usize).collect();
+            odd_joins += sizes[..sizes.len() - 1].iter().filter(|&&size| odd(size)).count();
+            let mut combined = CompiledGraph::empty(format!("{label} {sizes:?}"));
+            let mut releases = Vec::new();
+            let mut dispatch = 0u64;
+            for &size in &sizes {
+                let ops = combined.extend_from(&templates[size - 1].0);
+                releases.resize(ops.end, dispatch);
+                dispatch += rng.range(0, 400_000);
+            }
+            let parts: Vec<Arc<AnchorProfile>> =
+                sizes.iter().map(|&size| Arc::clone(&templates[size - 1].1)).collect();
+            let assembled = simulator.assemble(&combined, parts);
+            let whole = simulator.prepare(&combined);
+            let label = format!("{label}, case {case}, batches {sizes:?}");
+
+            let result = assembled.run_with_releases(&releases);
+            assert_eq!(result, whole.run_with_releases(&releases), "{label}");
+            let makespan = Some(result.total_cycles());
+            assert_eq!(
+                assembled.analyze(&releases, makespan),
+                whole.analyze(&releases, makespan),
+                "{label}"
+            );
+            let mut anchor = 0;
+            for &size in &sizes {
+                for template_op in templates[size - 1].0.anchors() {
+                    let timing = &result.timings()[anchor];
+                    assert!(Arc::ptr_eq(&timing.name, &template_op.op.name), "{label}: {anchor}");
+                    anchor += 1;
+                }
+            }
+            assert_eq!(anchor, result.timings().len(), "{label}");
+        }
+        // An odd-length template before a join flips the SRAM parity of
+        // every later batch, the case the assembly must not shortcut.
+        assert!(odd_joins > 0, "{label}: no odd-length template precedes a join");
     }
 }
 

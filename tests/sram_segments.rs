@@ -22,7 +22,7 @@
 //! where the old normalization averaged them.
 
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig, SramGeometry};
-use npu_compiler::{BufferLifetime, Compiler, SramAllocation};
+use npu_compiler::{BufferLifetime, Compiler, SegmentLifetime, SramAllocation};
 use npu_models::Adjacency;
 use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
 use npu_serving::{ArrivalProcess, BatchPolicy, ServingSimulator};
@@ -281,6 +281,108 @@ fn serving_trace_peaks_match_the_definition() {
             check_segment_invariants(tl, outcome.simulation.chip().spec().sram_bytes(), &label);
             let report = SramCapacityReport::for_simulation(&outcome.simulation);
             assert_eq!(report.peak_live_bytes, peak_by_definition(tl), "{label}");
+        }
+    }
+}
+
+/// `segment_lifetimes` as a windowed filter, the way it was computed
+/// before its sweep: sort and dedup every buffer boundary, then for each
+/// window between two boundaries filter every buffer covering it and
+/// merge the sorted anchor ranges. The oracle of the sweep.
+fn windowed_segment_lifetimes(alloc: &SramAllocation) -> Vec<SegmentLifetime> {
+    let mut boundaries = Vec::new();
+    let mut spans = Vec::new();
+    for b in alloc.buffers() {
+        let (first, last) = alloc.buffer_segments(b);
+        boundaries.extend([first, last + 1]);
+        spans.push((first, last, b.live_from, b.live_to));
+    }
+    boundaries.sort_unstable();
+    boundaries.dedup();
+    let mut runs = Vec::new();
+    for pair in boundaries.windows(2) {
+        let mut ranges: Vec<(usize, usize)> = spans
+            .iter()
+            .filter(|&&(first, last, ..)| first <= pair[0] && pair[0] <= last)
+            .map(|&(.., from, to)| (from, to))
+            .collect();
+        if ranges.is_empty() {
+            continue;
+        }
+        ranges.sort_unstable();
+        let mut merged: Vec<(usize, usize)> = Vec::new();
+        for range in ranges {
+            match merged.last_mut() {
+                Some(last) if range.0 <= last.1 => last.1 = last.1.max(range.1),
+                _ => merged.push(range),
+            }
+        }
+        runs.push(SegmentLifetime {
+            first_segment: pair[0],
+            num_segments: pair[1] - pair[0],
+            anchor_ranges: merged,
+        });
+    }
+    runs
+}
+
+#[test]
+fn segment_lifetime_sweep_equals_the_windowed_filter_on_random_layouts() {
+    // Unsorted `live_from`, starts off segment boundaries, overlapping
+    // lifetimes at shared addresses, and scratchpads of 16 to 200
+    // segments (so boundaries fall on both sides of a 64-bit word).
+    let mut rng = Rng::new(0x05E6_11FE);
+    for case in 0..600 {
+        let segments = [16u64, 64, 65, 200][case % 4];
+        let geometry = SramGeometry::new(segments * 4096, 4096);
+        let total = geometry.total_bytes();
+        let num_anchors = rng.range(1, 30) as usize;
+        let buffers = (0..rng.range(0, 40) as usize)
+            .map(|anchor_index| {
+                let start_addr = if rng.range(0, 3) == 0 {
+                    rng.range(0, segments - 1) * 4096
+                } else {
+                    rng.range(0, total - 1)
+                };
+                let live_from = rng.range(0, num_anchors as u64 - 1) as usize;
+                BufferLifetime {
+                    anchor_index,
+                    start_addr,
+                    size_bytes: rng.range(1, (total - start_addr).min(40_000)),
+                    live_from,
+                    live_to: rng.range(live_from as u64, num_anchors as u64 - 1) as usize,
+                }
+            })
+            .collect();
+        let alloc = SramAllocation::from_buffers(geometry, buffers, num_anchors);
+        assert_eq!(alloc.segment_lifetimes(), windowed_segment_lifetimes(&alloc), "case {case}");
+    }
+}
+
+#[test]
+fn segment_lifetime_sweep_equals_the_windowed_filter_on_serving_traces() {
+    let arrivals =
+        ArrivalProcess::Poisson { mean_interval_cycles: 100_000.0, seed: 9 }.arrivals(24);
+    for workload in [
+        Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2),
+        Workload::dlrm(DlrmSize::Small).with_batch(32),
+    ] {
+        let server = ServingSimulator::new(NpuGeneration::D, 1, workload);
+        for policy in [
+            BatchPolicy::Static { batch: 3 },
+            BatchPolicy::Static { batch: 4 },
+            BatchPolicy::DynamicWindow { max_batch: 8, max_wait_cycles: 50_000 },
+        ] {
+            let outcome = server.run(&arrivals, &policy);
+            let geometry = outcome.simulation.chip().spec().sram_geometry();
+            let alloc = SramAllocation::allocate(&outcome.compiled, geometry);
+            assert_eq!(
+                alloc.segment_lifetimes(),
+                windowed_segment_lifetimes(&alloc),
+                "{} / {}",
+                workload.label(),
+                policy.label()
+            );
         }
     }
 }

@@ -44,6 +44,8 @@
 //! pure function of the tree (files sorted by path, rules in a fixed
 //! order), so CI diffs are stable.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
