@@ -25,16 +25,6 @@ pub enum TechnologyNode {
 }
 
 impl TechnologyNode {
-    /// Nominal feature size in nanometres.
-    #[must_use]
-    pub fn feature_nm(self) -> f64 {
-        match self {
-            TechnologyNode::N16 => 16.0,
-            TechnologyNode::N7 => 7.0,
-            TechnologyNode::N4 => 4.0,
-        }
-    }
-
     /// Relative logic area density versus the 16 nm node (higher is denser).
     ///
     /// Used by the area model: the same microarchitecture occupies
@@ -71,16 +61,6 @@ impl TechnologyNode {
             TechnologyNode::N16 => 1.0,
             TechnologyNode::N7 => 0.52,
             TechnologyNode::N4 => 0.38,
-        }
-    }
-
-    /// Nominal supply voltage in volts.
-    #[must_use]
-    pub fn nominal_vdd(self) -> f64 {
-        match self {
-            TechnologyNode::N16 => 0.80,
-            TechnologyNode::N7 => 0.75,
-            TechnologyNode::N4 => 0.70,
         }
     }
 }
@@ -353,12 +333,6 @@ impl NpuSpec {
     #[must_use]
     pub fn ici_total_gbps(&self) -> f64 {
         self.ici_link_gbps * self.ici_links as f64
-    }
-
-    /// ICI per-link bandwidth in bytes per core cycle.
-    #[must_use]
-    pub fn ici_link_bytes_per_cycle(&self) -> f64 {
-        self.ici_link_gbps * 1.0e9 / self.frequency_hz()
     }
 
     /// On-chip SRAM capacity in bytes.

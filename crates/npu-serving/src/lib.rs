@@ -13,8 +13,8 @@
 //!   window that closes on max-batch-or-deadline, the continuous-batching
 //!   server shape;
 //! * [`ServingSimulator`] — lowers each formed batch through
-//!   `Workload::build_request_graph`, releases every operator of a batch
-//!   at its dispatch cycle, and schedules the whole trace on the timeline
+//!   `Workload::build_request_graph`, releases every anchor of a batch at
+//!   its dispatch cycle, and schedules the whole trace on the timeline
 //!   with those **release times**, so queueing delay and inter-request
 //!   gaps become first-class idle intervals that the unmodified
 //!   interval-walking gating evaluator prices;

@@ -12,14 +12,13 @@
 
 use std::collections::BTreeMap;
 
-use npu_arch::ChipConfig;
 use npu_power::GatingParams;
 use npu_sim::RunCounters;
 use regate::policy::TIMELINE_UNITS;
 use regate::{Design, Evaluator, PolicyKind};
 use serde::{Deserialize, Serialize};
 
-use crate::simulator::{ServingCacheCounters, ServingOutcome};
+use crate::simulator::ServingOutcome;
 
 /// Energy accounting of one design over the whole serving trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,10 +64,6 @@ pub struct ServingReport {
     /// Engine run counters of the scheduled trace (events popped, heap
     /// peak, release-clamp stalls, …).
     pub engine_counters: RunCounters,
-    /// Compile-cache hit/miss counters snapshot when the run finished.
-    pub cache_counters: ServingCacheCounters,
-    /// The chip deployment the trace was scheduled and priced on.
-    pub chip: ChipConfig,
 }
 
 impl ServingReport {
@@ -143,8 +138,6 @@ impl ServingReport {
             whole_chip_idle_fraction,
             designs,
             engine_counters: outcome.simulation.counters().clone(),
-            cache_counters: outcome.cache,
-            chip: outcome.simulation.chip().clone(),
         }
     }
 
@@ -156,16 +149,6 @@ impl ServingReport {
     #[must_use]
     pub fn design(&self, design: Design) -> &DesignServingRow {
         self.designs.get(&design).expect("all designs are evaluated")
-    }
-
-    /// Latency percentiles converted to seconds on the evaluated chip.
-    #[must_use]
-    pub fn latency_seconds(&self) -> (f64, f64) {
-        let spec = self.chip.spec();
-        (
-            spec.cycles_to_seconds(self.p50_latency_cycles),
-            spec.cycles_to_seconds(self.p99_latency_cycles),
-        )
     }
 }
 

@@ -3,11 +3,11 @@
 //!
 //! Each formed batch is lowered through
 //! [`Workload::build_request_graph`] (independent per-request
-//! subgraphs merged by a batch collective) with every operator *released*
-//! at the batch's dispatch cycle, the batches are concatenated into one
-//! operator graph, and the whole trace is scheduled by the unmodified
-//! timeline engine. Queueing delay and inter-request gaps therefore show
-//! up as ordinary idle intervals on every resource track — the
+//! subgraphs merged by a batch collective), the batches are concatenated
+//! into one operator graph with every anchor of a batch *released* at the
+//! batch's dispatch cycle, and the whole trace is scheduled by the
+//! unmodified timeline engine. Queueing delay and inter-request gaps
+//! therefore show up as ordinary idle intervals on every resource track — the
 //! interval-walking gating model in `regate::Evaluator` prices them with
 //! no serving-specific special-casing, which is exactly the paper's §3
 //! point that out-of-duty-cycle idleness is gateable energy.
@@ -19,8 +19,7 @@
 // The batch-template cache is lookup-only (never iterated), so hash order
 // cannot leak into any simulated number.
 use std::collections::{HashMap, VecDeque}; // lint:allow(hash-iter)
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig};
 use npu_compiler::{CompiledGraph, Compiler};
@@ -83,8 +82,8 @@ pub struct BatchRecord {
 
 /// Hit/miss counters of the serving simulator's two compile caches —
 /// the per-request-count batch templates and the per-batch-shape
-/// prepared traces. A snapshot, monotone over a simulator's (and its
-/// clones') lifetime: subtract two snapshots to count one sweep's work.
+/// prepared traces. A snapshot, monotone over a simulator's lifetime:
+/// subtract two snapshots to count one sweep's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServingCacheCounters {
     /// Batch-template lookups served from the cache.
@@ -95,27 +94,6 @@ pub struct ServingCacheCounters {
     pub trace_hits: u64,
     /// Prepared-trace lookups that paid concatenation + preparation.
     pub trace_misses: u64,
-}
-
-/// The live atomic cells behind [`ServingCacheCounters`], shared by
-/// simulator clones exactly like the caches they count.
-#[derive(Debug, Default)]
-struct CacheCounterCells {
-    batch_hits: AtomicU64,
-    batch_misses: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-}
-
-impl CacheCounterCells {
-    fn snapshot(&self) -> ServingCacheCounters {
-        ServingCacheCounters {
-            batch_hits: self.batch_hits.load(Ordering::Relaxed),
-            batch_misses: self.batch_misses.load(Ordering::Relaxed),
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_misses.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Everything one serving run produced: the scheduled trace plus the
@@ -319,9 +297,9 @@ struct PreparedTrace {
     op_ranges: Vec<std::ops::Range<usize>>,
 }
 
-/// Most prepared traces one simulator (with its clones) keeps: a long
-/// decode trace holds tens of MiB. No perfbench point evicts; `serve_churn`
-/// serves at most 12 shapes per simulator, `serve_steady` one.
+/// Most prepared traces one simulator keeps: a long decode trace holds
+/// tens of MiB. No perfbench point evicts; `serve_churn` serves at most
+/// 12 shapes per simulator, `serve_steady` one.
 const TRACE_CACHE_CAPACITY: usize = 16;
 
 /// Batch-size sequence → prepared trace for the [`TRACE_CACHE_CAPACITY`]
@@ -340,19 +318,14 @@ impl TraceCache {
         Some(trace)
     }
 
-    /// Caches `trace` as the most recently used shape, evicting the least
-    /// recently used one when full, and returns the cached trace. A shape
-    /// a racing clone cached meanwhile keeps that clone's trace: both
-    /// prepared the same graph.
-    fn insert(&mut self, shape: &[usize], trace: Arc<PreparedTrace>) -> Arc<PreparedTrace> {
-        if let Some(cached) = self.get(shape) {
-            return cached;
-        }
+    /// Caches the trace of `shape`, which [`TraceCache::get`] just
+    /// missed, as the most recently used one, evicting the least recently
+    /// used shape when full.
+    fn insert(&mut self, shape: &[usize], trace: Arc<PreparedTrace>) {
         if self.0.len() == TRACE_CACHE_CAPACITY {
             self.0.pop_front();
         }
-        self.0.push_back((shape.to_vec(), Arc::clone(&trace)));
-        trace
+        self.0.push_back((shape.to_vec(), trace));
     }
 }
 
@@ -363,6 +336,21 @@ impl TraceCache {
 struct BatchTemplate {
     compiled: Arc<CompiledGraph>,
     profile: Arc<AnchorProfile>,
+}
+
+/// Everything a serving simulator changes as it runs, behind its one
+/// lock: both caches, their hit/miss counters and the engine's scratch
+/// buffers.
+#[derive(Debug, Default)]
+struct Caches {
+    /// Request count → batch template (keyed lookups only).
+    templates: HashMap<usize, BatchTemplate>, // lint:allow(hash-iter)
+    /// Batch-size sequence → prepared trace, bounded.
+    traces: TraceCache,
+    /// Reused event-loop buffers for the cached path.
+    scratch: EngineScratch,
+    /// Hit/miss counts of both caches.
+    counters: ServingCacheCounters,
 }
 
 /// Simulates a request-serving NPU deployment: one chip model, one
@@ -377,22 +365,16 @@ struct BatchTemplate {
 /// forms the same batch sizes across many arrival seeds or load points
 /// pays the compile path once and then only re-runs the event loop; a new
 /// sequence of cached sizes copies the templates' records and runs only
-/// the whole-trace passes ([`Simulator::assemble`]). Clones share the
-/// caches (and the engine scratch buffers) through `Arc`.
-#[derive(Debug, Clone)]
+/// the whole-trace passes ([`Simulator::assemble`]). Both caches, their
+/// counters and the engine's scratch buffers sit behind one lock, which
+/// each entry point takes once.
+#[derive(Debug)]
 pub struct ServingSimulator {
     chip: ChipConfig,
     parallelism: ParallelismConfig,
     workload: Workload,
     compiler: Compiler,
-    /// Request count → batch template (keyed lookups only).
-    batch_cache: Arc<Mutex<HashMap<usize, BatchTemplate>>>, // lint:allow(hash-iter)
-    /// Batch-size sequence → prepared trace, bounded.
-    trace_cache: Arc<Mutex<TraceCache>>,
-    /// Reused event-loop buffers for the cached path.
-    scratch: Arc<Mutex<EngineScratch>>,
-    /// Hit/miss counters of both caches, shared like the caches.
-    cache_counters: Arc<CacheCounterCells>,
+    caches: Mutex<Caches>,
 }
 
 impl ServingSimulator {
@@ -457,23 +439,19 @@ impl ServingSimulator {
         assert!(workload.batch() >= 1, "a request must carry at least one sample");
         let chip = ChipConfig::new(generation, num_chips);
         let compiler = Compiler::new(chip.spec().clone());
-        ServingSimulator {
-            chip,
-            parallelism,
-            workload,
-            compiler,
-            batch_cache: Arc::default(),
-            trace_cache: Arc::default(),
-            scratch: Arc::default(),
-            cache_counters: Arc::default(),
-        }
+        ServingSimulator { chip, parallelism, workload, compiler, caches: Mutex::default() }
     }
 
     /// A snapshot of the compile-cache hit/miss counters, cumulative over
-    /// this simulator and every clone sharing its caches.
+    /// this simulator's lifetime.
     #[must_use]
     pub fn cache_counters(&self) -> ServingCacheCounters {
-        self.cache_counters.snapshot()
+        self.caches().counters
+    }
+
+    /// The caches, locked.
+    fn caches(&self) -> MutexGuard<'_, Caches> {
+        self.caches.lock().expect("a serving run panicked while holding the caches")
     }
 
     /// The chip deployment being simulated.
@@ -533,11 +511,10 @@ impl ServingSimulator {
     /// The cached serving path of [`ServingSimulator::run`] on a checked
     /// arrival trace.
     fn serve(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
-        let (trace, batches, op_releases) = self.plan(arrivals, policy);
-        let simulation = trace
-            .prepared
-            .run_with_scratch(&op_releases, &mut self.scratch.lock().expect("engine scratch"));
-        self.finish(arrivals, Arc::clone(&trace.compiled), simulation, batches)
+        let mut caches = self.caches();
+        let (trace, batches, releases) = self.plan(&mut caches, arrivals, policy);
+        let simulation = trace.prepared.run_with_scratch(&releases, &mut caches.scratch);
+        self.finish(arrivals, Arc::clone(&trace.compiled), simulation, batches, caches.counters)
     }
 
     /// Like [`ServingSimulator::run`], but observes the replay with a
@@ -558,14 +535,13 @@ impl ServingSimulator {
         policy: &BatchPolicy,
     ) -> (ServingOutcome, TraceRecorder) {
         expect_servable(arrivals);
-        let (trace, batches, op_releases) = self.plan(arrivals, policy);
+        let mut caches = self.caches();
+        let (trace, batches, releases) = self.plan(&mut caches, arrivals, policy);
         let mut recorder = TraceRecorder::for_set(&trace.prepared.resources());
-        let simulation = trace.prepared.run_with_scratch_observed(
-            &op_releases,
-            &mut self.scratch.lock().expect("engine scratch"),
-            &mut recorder,
-        );
-        let outcome = self.finish(arrivals, Arc::clone(&trace.compiled), simulation, batches);
+        let simulation =
+            trace.prepared.run_with_scratch_observed(&releases, &mut caches.scratch, &mut recorder);
+        let compiled = Arc::clone(&trace.compiled);
+        let outcome = self.finish(arrivals, compiled, simulation, batches, caches.counters);
         for (index, batch) in outcome.batches.iter().enumerate() {
             recorder.add_batch_flow(index, batch.dispatch_cycle, batch.completion_cycle);
         }
@@ -575,15 +551,16 @@ impl ServingSimulator {
     /// The planning step of the cached path: forms `arrivals` into
     /// batches, fetches (or prepares) the trace of their batch-size
     /// sequence, and returns it with the batch records (completions still
-    /// unset) and the release vector to replay it under.
+    /// unset) and the per-anchor release vector to replay it under.
     fn plan(
         &self,
+        caches: &mut Caches,
         arrivals: &[u64],
         policy: &BatchPolicy,
     ) -> (Arc<PreparedTrace>, Vec<BatchRecord>, Vec<u64>) {
         let formed = policy.form(arrivals);
         let shape: Vec<usize> = formed.iter().map(FormedBatch::len).collect();
-        let trace = self.prepared_trace(&shape, arrivals.len());
+        let trace = self.prepared_trace(caches, &shape);
         let batches: Vec<BatchRecord> = formed
             .into_iter()
             .zip(&trace.op_ranges)
@@ -594,11 +571,11 @@ impl ServingSimulator {
                 completion_cycle: 0,
             })
             .collect();
-        let op_releases = batch_releases(
-            trace.compiled.len(),
+        let releases = batch_releases(
+            &trace.compiled,
             batches.iter().map(|batch| (&batch.ops, batch.dispatch_cycle)),
         );
-        (trace, batches, op_releases)
+        (trace, batches, releases)
     }
 
     /// Serves an arrival trace by lowering and compiling every batch from
@@ -631,15 +608,14 @@ impl ServingSimulator {
                 completion_cycle: 0,
             })
             .collect();
-        let op_releases = batch_releases(
-            combined.len(),
-            batches.iter().map(|batch| (&batch.ops, batch.dispatch_cycle)),
-        );
 
         let compiled = self.compiler.compile(&combined);
-        let simulation =
-            Simulator::new(self.chip.clone()).run_with_releases(&compiled, &op_releases);
-        self.finish(arrivals, Arc::new(compiled), simulation, batches)
+        let releases = batch_releases(
+            &compiled,
+            batches.iter().map(|batch| (&batch.ops, batch.dispatch_cycle)),
+        );
+        let simulation = Simulator::new(self.chip.clone()).run_with_releases(&compiled, &releases);
+        self.finish(arrivals, Arc::new(compiled), simulation, batches, self.cache_counters())
     }
 
     /// The operator graph of one batch of `num_requests` requests, the one
@@ -654,23 +630,17 @@ impl ServingSimulator {
 
     /// [`ServingSimulator::lower`] compiled and profiled, once per request
     /// count.
-    fn batch_template(&self, num_requests: usize) -> BatchTemplate {
-        if let Some(template) = self.batch_cache.lock().expect("batch cache").get(&num_requests) {
-            self.cache_counters.batch_hits.fetch_add(1, Ordering::Relaxed);
+    fn batch_template(&self, caches: &mut Caches, num_requests: usize) -> BatchTemplate {
+        if let Some(template) = caches.templates.get(&num_requests) {
+            caches.counters.batch_hits += 1;
             return template.clone();
         }
-        self.cache_counters.batch_misses.fetch_add(1, Ordering::Relaxed);
+        caches.counters.batch_misses += 1;
         let compiled = self.compiler.compile(&self.lower(num_requests));
         let profile = Arc::new(Simulator::new(self.chip.clone()).profile(&compiled));
         let template = BatchTemplate { compiled: Arc::new(compiled), profile };
-        // A racing clone may have built the same template meanwhile; both
-        // computed identical graphs, so first insert wins.
-        self.batch_cache
-            .lock()
-            .expect("batch cache")
-            .entry(num_requests)
-            .or_insert(template)
-            .clone()
+        caches.templates.insert(num_requests, template.clone());
+        template
     }
 
     /// The prepared trace of one batch-size sequence: per-batch compiled
@@ -681,17 +651,18 @@ impl ServingSimulator {
     /// anchor profiles (profiling is anchor-local, so this equals
     /// preparing the concatenation). The combined graph is sized once,
     /// from the templates' totals, before anything is appended.
-    fn prepared_trace(&self, shape: &[usize], num_requests: usize) -> Arc<PreparedTrace> {
-        if let Some(trace) = self.cached_trace(shape) {
-            self.cache_counters.trace_hits.fetch_add(1, Ordering::Relaxed);
+    fn prepared_trace(&self, caches: &mut Caches, shape: &[usize]) -> Arc<PreparedTrace> {
+        if let Some(trace) = caches.traces.get(shape) {
+            caches.counters.trace_hits += 1;
             return trace;
         }
-        self.cache_counters.trace_misses.fetch_add(1, Ordering::Relaxed);
+        caches.counters.trace_misses += 1;
         let templates: Vec<BatchTemplate> =
-            shape.iter().map(|&count| self.batch_template(count)).collect();
+            shape.iter().map(|&count| self.batch_template(caches, count)).collect();
         let mut combined = CompiledGraph::empty(format!(
-            "{}-serving-{num_requests}req-{}",
+            "{}-serving-{}req-{}",
             self.workload.label(),
+            shape.iter().sum::<usize>(),
             self.parallelism
         ));
         combined.reserve(
@@ -709,13 +680,8 @@ impl ServingSimulator {
             prepared,
             op_ranges,
         });
-        self.trace_cache.lock().expect("trace cache").insert(shape, trace)
-    }
-
-    /// The prepared trace of one batch-size sequence if it is cached,
-    /// marked most recently used; counts nothing.
-    fn cached_trace(&self, shape: &[usize]) -> Option<Arc<PreparedTrace>> {
-        self.trace_cache.lock().expect("trace cache").get(shape)
+        caches.traces.insert(shape, Arc::clone(&trace));
+        trace
     }
 
     /// The full static verdict on one serving outcome: the outcome's own
@@ -736,8 +702,9 @@ impl ServingSimulator {
         let records = outcome.trace_diagnostics();
         let shape: Vec<usize> = outcome.batches.iter().map(|b| b.requests.len()).collect();
         let records_clean = records.iter().all(|d| d.severity != Severity::Deny);
+        let mut caches = self.caches();
         let cached =
-            (records_clean && !shape.is_empty()).then(|| self.cached_trace(&shape)).flatten();
+            (records_clean && !shape.is_empty()).then(|| caches.traces.get(&shape)).flatten();
         let graph = match &cached {
             Some(trace) if Arc::ptr_eq(&outcome.compiled, &trace.compiled) => {
                 trace.graph_verdict.clone()
@@ -750,34 +717,33 @@ impl ServingSimulator {
         if shape.is_empty() || !report.is_schedulable() {
             return report;
         }
-        let trace = cached.unwrap_or_else(|| self.prepared_trace(&shape, outcome.requests.len()));
-        let op_releases = batch_releases(
-            trace.compiled.len(),
+        let trace = cached.unwrap_or_else(|| self.prepared_trace(&mut caches, &shape));
+        let releases = batch_releases(
+            &trace.compiled,
             trace.op_ranges.iter().zip(outcome.batches.iter().map(|batch| batch.dispatch_cycle)),
         );
-        report.merge(trace.prepared.analyze(&op_releases, Some(outcome.makespan_cycles())));
+        report.merge(trace.prepared.analyze(&releases, Some(outcome.makespan_cycles())));
         report
     }
 
     /// Shared post-processing of a scheduled trace: per-batch completion
-    /// times and per-request records.
+    /// times and per-request records, with the cache counters `cache`.
     fn finish(
         &self,
         arrivals: &[u64],
         compiled: Arc<CompiledGraph>,
         simulation: SimulationResult,
         mut batches: Vec<BatchRecord>,
+        cache: ServingCacheCounters,
     ) -> ServingOutcome {
-        // Batch completion: the latest finish among the anchors executing
-        // the batch's operators (its merge fans in over every sink, so in
-        // practice this is the merge's finish).
+        // Batch completion: the latest finish among the batch's anchors
+        // (its merge fans in over every sink, so in practice this is the
+        // merge's finish).
         let schedule = simulation.schedule();
-        let positions = compiled.anchor_positions();
         for record in &mut batches {
-            record.completion_cycle = record
-                .ops
-                .clone()
-                .map(|id| schedule[positions[id]].finish)
+            record.completion_cycle = schedule[batch_anchors(&compiled, &record.ops)]
+                .iter()
+                .map(|op| op.finish)
                 .max()
                 .expect("a batch subgraph is never empty");
         }
@@ -802,25 +768,34 @@ impl ServingSimulator {
             simulation,
             batches,
             requests,
-            cache: self.cache_counters.snapshot(),
+            cache,
         }
     }
 }
 
-/// The serving release rule: every operator of a batch is released at its
+/// The anchor indices of the batch whose operators are `ops` in `graph`:
+/// the anchors whose ids fall inside the range. No fusion group spans two
+/// batches, so these run exactly the batch's operators.
+fn batch_anchors(graph: &CompiledGraph, ops: &std::ops::Range<usize>) -> std::ops::Range<usize> {
+    let ids = graph.anchor_ids();
+    ids.partition_point(|&id| id < ops.start)..ids.partition_point(|&id| id < ops.end)
+}
+
+/// The serving release rule: every anchor of a batch is released at its
 /// batch's dispatch cycle. Takes each batch's operator range (contiguous,
-/// in order) with its dispatch cycle; returns one release per operator of
-/// the `num_ops`-operator combined graph.
+/// in order) with its dispatch cycle; returns one release per anchor of
+/// `graph`.
 fn batch_releases<'a>(
-    num_ops: usize,
+    graph: &CompiledGraph,
     batches: impl Iterator<Item = (&'a std::ops::Range<usize>, u64)>,
 ) -> Vec<u64> {
-    let mut op_releases = Vec::with_capacity(num_ops);
+    let mut releases = Vec::with_capacity(graph.num_anchors());
     for (ops, dispatch_cycle) in batches {
-        debug_assert_eq!(op_releases.len(), ops.start, "batch subgraphs are contiguous");
-        op_releases.resize(ops.end, dispatch_cycle);
+        let anchors = batch_anchors(graph, ops);
+        debug_assert_eq!(releases.len(), anchors.start, "batch subgraphs are contiguous");
+        releases.resize(anchors.end, dispatch_cycle);
     }
-    op_releases
+    releases
 }
 
 /// The arrival-trace contract every serving entry point shares: at least
@@ -1054,10 +1029,7 @@ mod tests {
         // evicts [2].
         assert!(serve(1).0);
         assert!(!serve(TRACE_CACHE_CAPACITY + 1).0);
-        assert_eq!(
-            simulator.trace_cache.lock().expect("trace cache").0.len(),
-            TRACE_CACHE_CAPACITY
-        );
+        assert_eq!(simulator.caches().traces.0.len(), TRACE_CACHE_CAPACITY);
         assert!(serve(1).0);
         assert!(serve(TRACE_CACHE_CAPACITY + 1).0);
         let (hit, replayed) = serve(2);

@@ -126,30 +126,20 @@ impl Simulator {
         self.run_with_releases(graph, &[])
     }
 
-    /// Runs a compiled graph whose operators carry *release times*: no
-    /// phase of operator `id` issues before `op_releases[id]` cycles — the
-    /// dispatch time of the serving batch the operator belongs to. The
-    /// release of a fusion group is the maximum over its members, and an
-    /// empty slice means every operator is released at cycle 0 (identical
-    /// to [`Simulator::run`]).
+    /// Runs a compiled graph whose anchors carry *release times*: no phase
+    /// of anchor `k` (the `k`-th of [`CompiledGraph::anchors`], which runs
+    /// its whole fusion group) issues before `releases[k]` cycles — the
+    /// dispatch time of the serving batch the anchor belongs to. An empty
+    /// slice means every anchor is released at cycle 0 (identical to
+    /// [`Simulator::run`]).
     ///
     /// # Panics
     ///
-    /// Panics if `op_releases` is neither empty nor exactly one entry per
-    /// compiled operator (`graph.len()`).
+    /// Panics if `releases` is neither empty nor exactly one entry per
+    /// anchor (`graph.num_anchors()`).
     #[must_use]
-    pub fn run_with_releases(
-        &self,
-        graph: &CompiledGraph,
-        op_releases: &[u64],
-    ) -> SimulationResult {
-        assert!(
-            op_releases.is_empty() || op_releases.len() == graph.len(),
-            "release vector covers {} operators but the graph has {}",
-            op_releases.len(),
-            graph.len()
-        );
-        self.prepare(graph).run_with_releases(op_releases)
+    pub fn run_with_releases(&self, graph: &CompiledGraph, releases: &[u64]) -> SimulationResult {
+        self.prepare(graph).run_with_releases(releases)
     }
 
     /// Profiles, allocates, and builds the timeline engine for a compiled
@@ -303,7 +293,6 @@ impl Simulator {
             timings,
             sa_weighted_spatial,
             work,
-            positions: graph.anchor_positions().to_vec(),
             lifetimes: allocation.segment_lifetimes(),
             segment_bytes: allocation.geometry().segment_bytes(),
             num_segments: allocation.geometry().num_segments(),
@@ -441,18 +430,17 @@ impl Simulator {
 ///
 /// All release-independent work lives here: per-anchor phase durations,
 /// the SRAM allocation's live-bytes profile and segment lifetimes, the
-/// timeline engine's topology, the graph's op → anchor-position map,
-/// and the per-anchor records every result shares — the [`OpTiming`]s,
-/// the anchor-space producer [`Adjacency`] (the engine's
-/// [`PhaseGraph::producers`]) and the SA spatial weight — built once,
-/// the first two behind `Arc`s. Replaying against a new release vector
-/// ([`PreparedSimulator::run_with_scratch`]) pays only the release fold
-/// through that map, the event loop, the clock mapping and the
-/// busy-track finalization, and the result it returns holds new
-/// allocations only for what the release vector changes: the schedule,
-/// the resource tracks with their derived component timeline, and the
-/// segment intervals. That is what makes a serving sweep over repeated
-/// batch shapes cheap.
+/// timeline engine's topology, and the per-anchor records every result
+/// shares — the [`OpTiming`]s, the anchor-space producer [`Adjacency`]
+/// (the engine's [`PhaseGraph::producers`]) and the SA spatial weight —
+/// built once, the first two behind `Arc`s. Every release vector it
+/// takes holds one entry per anchor (empty = all at cycle 0). Replaying
+/// against a new one ([`PreparedSimulator::run_with_scratch`]) pays only
+/// the event loop, the clock mapping and the busy-track finalization,
+/// and the result it returns holds new allocations only for what the
+/// release vector changes: the schedule, the resource tracks with their
+/// derived component timeline, and the segment intervals. That is what
+/// makes a serving sweep over repeated batch shapes cheap.
 #[derive(Debug)]
 pub struct PreparedSimulator {
     chip: ChipConfig,
@@ -466,9 +454,6 @@ pub struct PreparedSimulator {
     /// The graph's work totals with zero busy time, shared with every
     /// result (see [`SimulationResult::chip_usage`]).
     work: ChipUsage,
-    /// Op id → anchor position of its fusion group
-    /// ([`CompiledGraph::anchor_positions`]); releases fold through it.
-    positions: Vec<usize>,
     lifetimes: Vec<SegmentLifetime>,
     segment_bytes: u64,
     num_segments: usize,
@@ -481,13 +466,6 @@ impl PreparedSimulator {
         &self.chip
     }
 
-    /// Number of compiled operators (anchors plus folded members) the
-    /// release vector must cover.
-    #[must_use]
-    pub fn num_ops(&self) -> usize {
-        self.positions.len()
-    }
-
     /// The engine's resource set — what an observer recording a replay
     /// (e.g. a [`crate::trace::TraceRecorder`]) must be sized for.
     #[must_use]
@@ -495,55 +473,23 @@ impl PreparedSimulator {
         self.engine.resources()
     }
 
-    /// Maps a per-compiled-operator release vector onto the engine's
-    /// anchor order: the release of a fusion group is the maximum over
-    /// its members, and an empty slice means every operator is released
-    /// at cycle 0. Always returns one entry per anchor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op_releases` is neither empty nor exactly one entry per
-    /// compiled operator.
-    #[must_use]
-    pub fn anchor_releases(&self, op_releases: &[u64]) -> Vec<u64> {
-        assert!(
-            op_releases.is_empty() || op_releases.len() == self.positions.len(),
-            "release vector covers {} operators but the graph has {}",
-            op_releases.len(),
-            self.positions.len()
-        );
-        let mut releases = vec![0u64; self.timings.len()];
-        for (&position, &release) in self.positions.iter().zip(op_releases) {
-            // An operator folded into no anchor (a malformed graph) runs
-            // nowhere, so its release holds nothing back.
-            if let Some(slot) = releases.get_mut(position) {
-                *slot = (*slot).max(release);
-            }
-        }
-        releases
-    }
-
     /// Runs the static schedule analyzer on the prepared graph: the
     /// phase-level DAG checks, the `[lower, upper]` makespan window under
-    /// `op_releases`, the containment verdict when a measured makespan is
-    /// supplied, and the static SRAM capacity audit against this chip's
-    /// scratchpad — all without firing a single event. The serving layer
-    /// and the evaluation binaries call this before (or instead of)
-    /// [`PreparedSimulator::run_with_releases`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op_releases` is neither empty nor exactly one entry per
-    /// compiled operator (the same contract as the run path).
+    /// the per-anchor `releases`, the containment verdict when a measured
+    /// makespan is supplied, and the static SRAM capacity audit against
+    /// this chip's scratchpad — all without firing a single event. The
+    /// serving layer and the evaluation binaries call this before (or
+    /// instead of) [`PreparedSimulator::run_with_releases`]. A release
+    /// vector that is neither empty nor one entry per anchor is denied
+    /// (`time.release-length-mismatch`, with no window), not a panic.
     #[must_use]
     pub fn analyze(
         &self,
-        op_releases: &[u64],
+        releases: &[u64],
         measured_makespan: Option<u64>,
     ) -> crate::analysis::AnalysisReport {
-        let releases = self.anchor_releases(op_releases);
         let mut report =
-            crate::analysis::analyze_phases(self.engine.phases(), &releases, measured_makespan);
+            crate::analysis::analyze_phases(self.engine.phases(), releases, measured_makespan);
         let capacity = self.chip.spec().sram_bytes();
         let peak = self.timings.iter().map(|t| t.sram_live_bytes).max().unwrap_or(0);
         let audit = crate::analysis::SramCapacityReport::from_parts(
@@ -555,34 +501,34 @@ impl PreparedSimulator {
         report
     }
 
-    /// Replays the prepared graph under a release vector with one-shot
-    /// scratch buffers. Semantics match [`Simulator::run_with_releases`]
-    /// on the same graph, bit for bit.
+    /// Replays the prepared graph under a per-anchor release vector with
+    /// one-shot scratch buffers. Semantics match
+    /// [`Simulator::run_with_releases`] on the same graph, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `op_releases` is neither empty nor exactly one entry per
-    /// compiled operator.
+    /// Panics if `releases` is neither empty nor exactly one entry per
+    /// anchor.
     #[must_use]
-    pub fn run_with_releases(&self, op_releases: &[u64]) -> SimulationResult {
-        self.run_with_scratch(op_releases, &mut EngineScratch::default())
+    pub fn run_with_releases(&self, releases: &[u64]) -> SimulationResult {
+        self.run_with_scratch(releases, &mut EngineScratch::default())
     }
 
-    /// Replays the prepared graph under a release vector, reusing the
-    /// caller's [`EngineScratch`] across runs so the event loop allocates
-    /// nothing per replay.
+    /// Replays the prepared graph under a per-anchor release vector,
+    /// reusing the caller's [`EngineScratch`] across runs so the event
+    /// loop allocates nothing per replay.
     ///
     /// # Panics
     ///
-    /// Panics if `op_releases` is neither empty nor exactly one entry per
-    /// compiled operator.
+    /// Panics if `releases` is neither empty nor exactly one entry per
+    /// anchor.
     #[must_use]
     pub fn run_with_scratch(
         &self,
-        op_releases: &[u64],
+        releases: &[u64],
         scratch: &mut EngineScratch,
     ) -> SimulationResult {
-        self.run_with_scratch_observed(op_releases, scratch, &mut NullObserver)
+        self.run_with_scratch_observed(releases, scratch, &mut NullObserver)
     }
 
     /// Replays the prepared graph like
@@ -593,21 +539,16 @@ impl PreparedSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `op_releases` is neither empty nor exactly one entry per
-    /// compiled operator.
+    /// Panics if `releases` is neither empty nor exactly one entry per
+    /// anchor.
     #[must_use]
     pub fn run_with_scratch_observed<O: SimObserver>(
         &self,
-        op_releases: &[u64],
+        releases: &[u64],
         scratch: &mut EngineScratch,
         obs: &mut O,
     ) -> SimulationResult {
-        // Release of each fusion group: the group runs as one unit, so it
-        // is ready only when every member's request has arrived (in
-        // practice all members share one batch).
-        let releases = self.anchor_releases(op_releases);
-
-        let schedule = self.engine.run_with_scratch_observed(&releases, scratch, obs);
+        let schedule = self.engine.run_with_scratch_observed(releases, scratch, obs);
         // Per-segment SRAM liveness on the global clock: the allocator's
         // anchor-granularity lifetimes mapped through the scheduled spans.
         // The SRAM's busy track is the union of live segment intervals —
@@ -619,7 +560,7 @@ impl PreparedSimulator {
             self.num_segments,
             &schedule.ops,
             schedule.makespan,
-            &releases,
+            releases,
         );
         let mut timeline = schedule.timeline;
         timeline.insert_finalized(ComponentKind::Sram, segments.live_union());
@@ -628,7 +569,7 @@ impl PreparedSimulator {
             timings: Arc::clone(&self.timings),
             anchor_producers: Arc::clone(self.engine.phases().producers()),
             schedule: schedule.ops,
-            releases,
+            releases: releases.to_vec(),
             sa_weighted_spatial: self.sa_weighted_spatial,
             timeline,
             resource_timeline: schedule.resource_timeline,
@@ -657,8 +598,8 @@ pub struct SimulationResult {
     anchor_producers: Arc<Adjacency>,
     /// `schedule[k]`: when anchor `k`'s phases ran on the global clock.
     schedule: Vec<ScheduledOp>,
-    /// `releases[k]`: earliest cycle anchor `k` was allowed to issue (all
-    /// zeros for a cycle-0 batch run).
+    /// `releases[k]`: earliest cycle anchor `k` was allowed to issue (empty
+    /// for a cycle-0 batch run).
     releases: Vec<u64>,
     /// The activity's SA spatial weight (see `PreparedSimulator`).
     sa_weighted_spatial: f64,
@@ -1248,10 +1189,10 @@ mod tests {
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         let sim = Simulator::new(chip);
         let prepared = sim.prepare(&compiled);
-        assert_eq!(prepared.num_ops(), compiled.len());
         let mut scratch = crate::timeline::EngineScratch::default();
-        let staggered: Vec<u64> = (0..compiled.len() as u64).map(|i| i * 37 % 5000).collect();
-        for releases in [&[] as &[u64], &vec![0; compiled.len()][..], &staggered[..]] {
+        let staggered: Vec<u64> =
+            (0..compiled.num_anchors() as u64).map(|i| i * 37 % 5000).collect();
+        for releases in [&[] as &[u64], &vec![0; compiled.num_anchors()][..], &staggered[..]] {
             let fresh = sim.run_with_releases(&compiled, releases);
             let replayed = prepared.run_with_scratch(releases, &mut scratch);
             assert_eq!(fresh, replayed, "prepared replay diverged from the one-shot engine");
@@ -1268,7 +1209,7 @@ mod tests {
         let graph = wl.build_graph(&ParallelismConfig::single());
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         let prepared = Simulator::new(chip).prepare(&compiled);
-        let delayed = vec![10_000; compiled.len()];
+        let delayed = vec![10_000; compiled.num_anchors()];
         let early = prepared.run_with_releases(&[]);
         let late = prepared.run_with_releases(&delayed);
         assert!(std::ptr::eq(early.timings(), late.timings()), "replay copied the records");
@@ -1291,7 +1232,7 @@ mod tests {
         let prepared = Simulator::new(chip).prepare(&compiled);
         let store = prepared.engine.phases().producers();
         assert_eq!(**store, compiled.anchor_producers());
-        for releases in [vec![], vec![10_000; compiled.len()]] {
+        for releases in [vec![], vec![10_000; compiled.num_anchors()]] {
             let result = prepared.run_with_releases(&releases);
             assert!(Arc::ptr_eq(store, &result.anchor_producers), "replay copied the store");
         }
@@ -1346,64 +1287,27 @@ mod tests {
     }
 
     #[test]
-    fn anchor_releases_fold_like_the_per_op_group_scan() {
-        // The oracle is the fold the prepared simulator used before it
-        // kept the graph's anchor positions: every op's release maxed
-        // into an ops-sized vector at its anchor's op id, then read back
-        // per anchor id.
-        fn group_scan(graph: &CompiledGraph, op_releases: &[u64]) -> Vec<u64> {
-            let fold_anchor: Vec<usize> = graph
-                .ops()
-                .iter()
-                .enumerate()
-                .map(|(id, op)| op.folded_into.unwrap_or(id))
-                .collect();
-            let mut group_release = vec![0u64; fold_anchor.len()];
-            for (id, &anchor) in fold_anchor.iter().enumerate() {
-                let release = op_releases.get(id).copied().unwrap_or(0);
-                group_release[anchor] = group_release[anchor].max(release);
-            }
-            (0..graph.len())
-                .filter(|&id| graph.ops()[id].is_anchor())
-                .map(|id| group_release[id])
-                .collect()
-        }
-
+    fn analyzing_a_release_vector_of_the_wrong_length_is_denied_not_panicked() {
+        // Releases are per anchor. A vector of any other length, the
+        // per-operator count of a fused graph included, is a denial that
+        // names its rule and brackets no makespan.
         let chip = ChipConfig::new(NpuGeneration::D, 1);
-        let compiler = Compiler::new(chip.spec().clone());
-        let decode = Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2);
-        let template =
-            compiler.compile(&decode.build_request_graph(&ParallelismConfig::single(), 3));
-        let mut combined = CompiledGraph::empty("combined");
-        combined.extend_from(&template);
-        combined.extend_from(&compiler.compile(
-            &Workload::dlrm(DlrmSize::Small).build_request_graph(&ParallelismConfig::single(), 2),
-        ));
-        combined.extend_from(&template);
-        assert!(combined.num_anchors() < combined.len(), "the corpus graph must fuse");
-        let prepared = Simulator::new(chip).prepare(&combined);
-
-        let mut rng = crate::rng::SplitMix64::new(0x5EED_F01D);
-        assert_eq!(prepared.anchor_releases(&[]), group_scan(&combined, &[]));
-        for case in 0..64 {
-            // Dense random releases, and batch-like runs of equal releases.
-            let releases: Vec<u64> = if case % 2 == 0 {
-                (0..combined.len()).map(|_| rng.range(0, 1_000_000)).collect()
-            } else {
-                let mut releases = Vec::with_capacity(combined.len());
-                while releases.len() < combined.len() {
-                    let run = rng.range(1, 400) as usize;
-                    let value = rng.range(0, 5_000_000);
-                    releases.extend(std::iter::repeat_n(value, run));
-                }
-                releases.truncate(combined.len());
-                releases
-            };
-            assert_eq!(
-                prepared.anchor_releases(&releases),
-                group_scan(&combined, &releases),
-                "case {case}"
+        let graph = Workload::dlrm(DlrmSize::Small).build_graph(&ParallelismConfig::single());
+        let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
+        assert!(compiled.num_anchors() < compiled.len(), "the graph must fuse");
+        let prepared = Simulator::new(chip).prepare(&compiled);
+        let report = prepared.analyze(&vec![7; compiled.num_anchors()], None);
+        assert!(report.is_schedulable(), "{}", report.render());
+        for len in [compiled.num_anchors() + 1, compiled.len()] {
+            let report = prepared.analyze(&vec![7; len], None);
+            assert!(
+                report
+                    .denials()
+                    .any(|d| d.rule_id == crate::analysis::rules::TIME_RELEASE_LENGTH_MISMATCH),
+                "{len} releases: {}",
+                report.render()
             );
+            assert_eq!(report.makespan_window, None);
         }
     }
 

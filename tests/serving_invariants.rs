@@ -429,8 +429,8 @@ fn traces_assembled_from_template_profiles_equal_preparing_the_concatenation() {
             let mut releases = Vec::new();
             let mut dispatch = 0u64;
             for &size in &sizes {
-                let ops = combined.extend_from(&templates[size - 1].0);
-                releases.resize(ops.end, dispatch);
+                combined.extend_from(&templates[size - 1].0);
+                releases.resize(combined.num_anchors(), dispatch);
                 dispatch += rng.range(0, 400_000);
             }
             let parts: Vec<Arc<AnchorProfile>> =
